@@ -43,6 +43,7 @@ namespace bench {
 namespace {
 
 using server::ParseReplyFrame;
+using server::RenderReplyFrame;
 using server::ReplyFrame;
 using server::Server;
 using server::ServerConfig;
@@ -90,6 +91,13 @@ std::vector<std::string> Workload(size_t queries) {
     }
   }
   return lines;
+}
+
+/// A Session's frame as a client decodes it off the wire.
+ReplyFrame Decoded(const ReplyFrame& frame) {
+  ReplyFrame decoded;
+  ParseReplyFrame(RenderReplyFrame(frame), &decoded);
+  return decoded;
 }
 
 /// The answer-bearing fields that must match the serial baseline.
@@ -193,7 +201,7 @@ int Run(int argc, char** argv) {
       if (frame.status != "OK") {
         return Fail("baseline statement failed: " + frame.error);
       }
-      baseline.push_back(NormalizeFrame(frame));
+      baseline.push_back(NormalizeFrame(Decoded(frame)));
     }
     ExecStats stats;
     stats.total_seconds = WallNow() - wall0;

@@ -30,18 +30,6 @@ Schema ConcatSchemas(const Schema& left, const Schema& right) {
   return combined;
 }
 
-/// Orders tuples by value content, for the set-operation maps.
-struct TupleValueLess {
-  bool operator()(const Tuple& a, const Tuple& b) const {
-    const size_t n = std::min(a.NumValues(), b.NumValues());
-    for (size_t i = 0; i < n; ++i) {
-      const int cmp = a.ValueAt(i).TotalOrderCompare(b.ValueAt(i));
-      if (cmp != 0) return cmp < 0;
-    }
-    return a.NumValues() < b.NumValues();
-  }
-};
-
 Status CheckArity(const Relation& left, const Relation& right,
                   const char* op) {
   if (left.schema().NumColumns() != right.schema().NumColumns()) {

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "storage/page.h"
-
 namespace fuzzydb {
 
 namespace {
@@ -16,97 +14,7 @@ double NLogN(uint64_t n) {
   return d * std::log2(d);
 }
 
-double Pages(uint64_t pages) { return static_cast<double>(pages); }
-
 }  // namespace
-
-double CostExternalSort(uint64_t rows, uint64_t pages, size_t buffer_pages,
-                        const CostWeights& w) {
-  if (rows == 0 || pages == 0) return 0.0;
-  const double m = static_cast<double>(std::max<size_t>(2, buffer_pages));
-  // Run generation reads and writes every page once; each k-way merge
-  // pass (fan-in M - 1) does the same until one run remains.
-  const double runs = std::ceil(Pages(pages) / m);
-  double passes = 1.0;  // run generation
-  for (double r = runs; r > 1.0; r = std::ceil(r / (m - 1.0))) passes += 1.0;
-  const double io = 2.0 * Pages(pages) * passes * w.page_io_us;
-  const double cmp = NLogN(rows) * w.comparison_us;
-  // Every pass but the last materializes intermediate runs on disk.
-  const double spill = std::max(0.0, passes - 1.0) * Pages(pages) *
-                       static_cast<double>(kPageSize) * w.spill_byte_us;
-  return io + cmp + spill;
-}
-
-double CostFileNestedLoop(uint64_t outer_rows, uint64_t outer_pages,
-                          uint64_t inner_rows, uint64_t inner_pages,
-                          size_t buffer_pages, const CostWeights& w) {
-  const double m = static_cast<double>(std::max<size_t>(2, buffer_pages));
-  // b_R + ceil(b_R / (M - 1)) * b_S page reads (block nested loop).
-  const double blocks = std::ceil(Pages(outer_pages) / (m - 1.0));
-  const double io =
-      (Pages(outer_pages) + blocks * Pages(inner_pages)) * w.page_io_us;
-  const double degrees = static_cast<double>(outer_rows) *
-                         static_cast<double>(inner_rows) * w.degree_eval_us;
-  return io + degrees;
-}
-
-double CostFileMergeJoin(uint64_t outer_rows, uint64_t outer_pages,
-                         uint64_t inner_rows, uint64_t inner_pages,
-                         size_t buffer_pages, double fanout,
-                         const CostWeights& w) {
-  const double sorts =
-      CostExternalSort(outer_rows, outer_pages, buffer_pages, w) +
-      CostExternalSort(inner_rows, inner_pages, buffer_pages, w);
-  // One sequential scan of each sorted file; when the largest window
-  // fits in the buffer every inner page is fetched at most once.
-  const double io =
-      (Pages(outer_pages) + Pages(inner_pages)) * w.page_io_us;
-  const double degrees =
-      static_cast<double>(outer_rows) * std::max(0.0, fanout) *
-      w.degree_eval_us;
-  return sorts + io + degrees;
-}
-
-double CostFilePartitionedJoin(uint64_t outer_rows, uint64_t outer_pages,
-                               uint64_t inner_rows, uint64_t inner_pages,
-                               double fanout, double replication,
-                               const CostWeights& w) {
-  const double repl = std::max(1.0, replication);
-  // Read both inputs, write both partitioned (replicated) copies, read
-  // them back for the per-partition joins: ~3x the page traffic.
-  const double base = Pages(outer_pages) + Pages(inner_pages);
-  const double io = (base + 2.0 * repl * base) * w.page_io_us;
-  const double spill = repl * base * static_cast<double>(kPageSize) *
-                       w.spill_byte_us;
-  // Within matched partitions the pairs examined shrink to roughly the
-  // windowed pairs, inflated by boundary replication.
-  const double degrees = static_cast<double>(outer_rows) *
-                         std::max(0.0, fanout) * repl * w.degree_eval_us;
-  (void)inner_rows;
-  return io + spill + degrees;
-}
-
-JoinAlgorithm ChooseFileJoinAlgorithm(uint64_t outer_rows,
-                                      uint64_t outer_pages,
-                                      uint64_t inner_rows,
-                                      uint64_t inner_pages,
-                                      size_t buffer_pages, double fanout,
-                                      double replication,
-                                      const CostWeights& w) {
-  const double nested = CostFileNestedLoop(outer_rows, outer_pages,
-                                           inner_rows, inner_pages,
-                                           buffer_pages, w);
-  const double merge = CostFileMergeJoin(outer_rows, outer_pages, inner_rows,
-                                         inner_pages, buffer_pages, fanout, w);
-  const double part =
-      CostFilePartitionedJoin(outer_rows, outer_pages, inner_rows,
-                              inner_pages, fanout, replication, w);
-  // Deterministic tie-break: merge, then partitioned, then nested loop
-  // (the order of increasing implementation restrictions).
-  if (merge <= part && merge <= nested) return JoinAlgorithm::kMergeWindow;
-  if (part <= nested) return JoinAlgorithm::kPartitioned;
-  return JoinAlgorithm::kNestedLoop;
-}
 
 double CostChainNestedStep(uint64_t rows, uint64_t incoming,
                            const CostWeights& w) {

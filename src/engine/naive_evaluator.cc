@@ -21,18 +21,6 @@ bool IsAggregateBlock(const sql::BoundQuery& query) {
   return false;
 }
 
-/// Total order on tuples by value content; the grouping-key comparator.
-struct TupleValueLess {
-  bool operator()(const Tuple& a, const Tuple& b) const {
-    const size_t n = std::min(a.NumValues(), b.NumValues());
-    for (size_t i = 0; i < n; ++i) {
-      const int cmp = a.ValueAt(i).TotalOrderCompare(b.ValueAt(i));
-      if (cmp != 0) return cmp < 0;
-    }
-    return a.NumValues() < b.NumValues();
-  }
-};
-
 }  // namespace
 
 Result<Relation> NaiveEvaluator::Evaluate(const sql::BoundQuery& query) {

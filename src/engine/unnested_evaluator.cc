@@ -43,10 +43,7 @@ using sql::Predicate;
 
 /// A tuple surviving the local-predicate filter, with its adjusted degree
 /// min(mu_R(r), d(p_local(r))).
-struct FT {
-  const Tuple* tuple = nullptr;
-  double degree = 0.0;
-};
+using FT = RowRef;
 
 /// True when the operator should consult the cross-query cache.
 bool CacheOn(const ParallelContext& ctx) {
@@ -528,9 +525,12 @@ bool ColumnIsFuzzy(const std::vector<FT>& tuples, size_t col) {
 /// between the cached and sorted paths, which is answer-neutral: every
 /// consumer folds degrees with max/min and final answers are
 /// duplicate-eliminated.
-void SortByIntervalOrder(std::vector<FT>* tuples, size_t col,
-                         const ParallelContext& ctx, CpuStats* cpu,
-                         ExecTrace* trace, const Relation* rel = nullptr) {
+///
+/// Fails with the stop status when a governed stop cut the sort short;
+/// *tuples must not be read then.
+Status SortByIntervalOrder(std::vector<FT>* tuples, size_t col,
+                           const ParallelContext& ctx, CpuStats* cpu,
+                           ExecTrace* trace, const Relation* rel = nullptr) {
   TraceScope span(trace, "interval-sort", cpu, nullptr,
                   "col" + std::to_string(col));
   span.SetInputRows(tuples->size());
@@ -560,18 +560,21 @@ void SortByIntervalOrder(std::vector<FT>* tuples, size_t col,
       if (EngineMetrics* m = EngineMetrics::IfEnabled()) {
         m->sort_rows->Add(tuples->size());
       }
-      return;
+      return Status::OK();
     }
   }
   uint64_t comparisons = 0;
-  ParallelSort(ctx, tuples, cpu == nullptr ? nullptr : &comparisons,
-               [col](uint64_t* count) {
-                 return [col, count](const FT& x, const FT& y) {
-                   ++*count;
-                   return IntervalOrderLess(x.tuple->ValueAt(col).AsFuzzy(),
-                                            y.tuple->ValueAt(col).AsFuzzy());
-                 };
-               });
+  if (!ParallelSort(ctx, tuples, cpu == nullptr ? nullptr : &comparisons,
+                    [col](uint64_t* count) {
+                      return [col, count](const FT& x, const FT& y) {
+                        ++*count;
+                        return IntervalOrderLess(
+                            x.tuple->ValueAt(col).AsFuzzy(),
+                            y.tuple->ValueAt(col).AsFuzzy());
+                      };
+                    })) {
+    return CheckQuery(ctx.query);  // the latched stop: never OK here
+  }
   if (cpu != nullptr) cpu->comparisons += comparisons;
   if (EngineMetrics* m = EngineMetrics::IfEnabled()) {
     m->sort_rows->Add(tuples->size());
@@ -586,6 +589,7 @@ void SortByIntervalOrder(std::vector<FT>* tuples, size_t col,
     ctx.cache->InsertPermutation(cache_key, std::move(perm), {rel->id()},
                                  CacheBudget(ctx));
   }
+  return Status::OK();
 }
 
 /// The support interval of a sort-key value, hoisted out of the merge
@@ -1060,22 +1064,24 @@ Result<std::vector<double>> InFamilyDegrees(const std::vector<FT>& outer,
       sort_span.SetInputRows(outer.size());
       sort_span.SetThreads(WorkerSlots(ctx));
       uint64_t order_comparisons = 0;
-      ParallelSort(ctx, &order,
-                   cpu == nullptr ? nullptr : &order_comparisons,
-                   [&outer, outer_key](uint64_t* count) {
-                     return [&outer, outer_key, count](size_t a, size_t b) {
-                       ++*count;
-                       return IntervalOrderLess(
-                           outer[a].tuple->ValueAt(outer_key).AsFuzzy(),
-                           outer[b].tuple->ValueAt(outer_key).AsFuzzy());
-                     };
-                   });
+      if (!ParallelSort(
+              ctx, &order, cpu == nullptr ? nullptr : &order_comparisons,
+              [&outer, outer_key](uint64_t* count) {
+                return [&outer, outer_key, count](size_t a, size_t b) {
+                  ++*count;
+                  return IntervalOrderLess(
+                      outer[a].tuple->ValueAt(outer_key).AsFuzzy(),
+                      outer[b].tuple->ValueAt(outer_key).AsFuzzy());
+                };
+              })) {
+        return CheckQuery(ctx.query);
+      }
       if (cpu != nullptr) cpu->comparisons += order_comparisons;
     }
     std::vector<FT> sorted_outer(outer.size());
     for (size_t i = 0; i < order.size(); ++i) sorted_outer[i] = outer[order[i]];
-    SortByIntervalOrder(&inner, inner_key, ctx, cpu, trace,
-                        shape.inner->tables[0].relation);
+    FUZZYDB_RETURN_IF_ERROR(SortByIntervalOrder(
+        &inner, inner_key, ctx, cpu, trace, shape.inner->tables[0].relation));
 
     // Each sorted position belongs to exactly one morsel and order[] is a
     // permutation, so concurrent workers write disjoint m[idx] slots.
@@ -1166,16 +1172,15 @@ Result<std::vector<double>> InFamilyDegrees(const std::vector<FT>& outer,
     TraceScope probe_span(trace, "probe-materialized", cpu, nullptr);
     probe_span.SetInputRows(outer.size());
     PhaseScope phase(ctx.progress, QueryPhase::kJoin);
-    Relation t("", shape.inner->output_schema);
-    for (const FT& s : inner) {
-      FUZZYDB_RETURN_IF_ERROR(t.AppendOrMax(
-          Tuple({s.tuple->ValueAt(shape.inner_link_col)}, s.degree)));
-    }
+    // Value order instead of first-occurrence order changes nothing:
+    // the max/min fold below is order-independent.
+    const std::vector<size_t> link_col = {shape.inner_link_col};
+    const std::vector<Tuple> t = DistinctMaxDegree(inner, &link_col, 0.0);
     for (size_t i = 0; i < outer.size(); ++i) {
       FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
       const Value& v = outer[i].tuple->ValueAt(shape.outer_link_col);
       double m_r = 0.0;
-      for (const Tuple& z : t.tuples()) {
+      for (const Tuple& z : t) {
         if (cpu != nullptr) {
           ++cpu->tuple_pairs;
           ++cpu->degree_evaluations;
@@ -1311,8 +1316,8 @@ Result<std::vector<double>> AggregateFamilyDegrees(
                 if (cpu != nullptr) ++cpu->comparisons;
                 return IntervalOrderLess(x.AsFuzzy(), y.AsFuzzy());
               });
-    SortByIntervalOrder(&inner, v_col, ctx, cpu, trace,
-                        shape.inner->tables[0].relation);
+    FUZZYDB_RETURN_IF_ERROR(SortByIntervalOrder(
+        &inner, v_col, ctx, cpu, trace, shape.inner->tables[0].relation));
     size_t window_start = 0;
     for (const Value& u : t1_sorted) {
       FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
@@ -1396,16 +1401,16 @@ Result<std::vector<double>> SubqueryPredicateDegrees(
              : InFamilyDegrees(outer, *shape, ctx, cpu, trace);
 }
 
-/// Projects the outer block's SELECT columns of tuple r with degree d.
-Status EmitAnswer(const BoundQuery& query, const Tuple& r, double d,
-                  Relation* out) {
-  if (d <= 0.0) return Status::OK();
-  std::vector<Value> values;
-  values.reserve(query.select.size());
-  for (const auto& item : query.select) {
-    values.push_back(r.ValueAt(item.column.column));
-  }
-  return out->Append(Tuple(std::move(values), d));
+/// The answer: outer block rows projected onto its SELECT columns,
+/// duplicates merged by max degree, thresholded by WITH.
+Relation EmitAnswer(const BoundQuery& query, std::vector<RowRef> rows) {
+  std::vector<size_t> columns;
+  columns.reserve(query.select.size());
+  for (const auto& item : query.select) columns.push_back(item.column.column);
+  Relation answer("", query.output_schema);
+  answer.mutable_tuples() =
+      DistinctMaxDegree(std::move(rows), &columns, query.with_threshold);
+  return answer;
 }
 
 /// All 2-level types plus queries with several independent subquery
@@ -1438,14 +1443,11 @@ Result<Relation> RunTwoLevel(const BoundQuery& query,
   TraceScope emit_span(trace, "emit", cpu, nullptr);
   emit_span.SetInputRows(outer.size());
   PhaseScope phase(ctx.progress, QueryPhase::kEmit);
-  Relation answer("", query.output_schema);
   for (size_t i = 0; i < outer.size(); ++i) {
     FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
-    FUZZYDB_RETURN_IF_ERROR(
-        EmitAnswer(query, *outer[i].tuple,
-                   std::min(outer[i].degree, combined[i]), &answer));
+    outer[i].degree = std::min(outer[i].degree, combined[i]);
   }
-  answer.EliminateDuplicates(query.with_threshold);
+  Relation answer = EmitAnswer(query, std::move(outer));
   emit_span.SetOutputRows(answer.NumTuples());
   if (ctx.progress != nullptr) ctx.progress->AddRows(answer.NumTuples());
   return answer;
@@ -1731,8 +1733,9 @@ Result<Relation> RunChain(const BoundQuery& query, const ParallelContext& ctx,
             x.tuples[row_level]->ValueAt(row_col).AsFuzzy(),
             y.tuples[row_level]->ValueAt(row_col).AsFuzzy());
       });
-      SortByIntervalOrder(&incoming, new_col, ctx, cpu, trace,
-                          blocks[level]->tables[0].relation);
+      FUZZYDB_RETURN_IF_ERROR(
+          SortByIntervalOrder(&incoming, new_col, ctx, cpu, trace,
+                              blocks[level]->tables[0].relation));
       size_t window_start = 0;
       for (const Row& row : rows) {
         FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
@@ -1775,12 +1778,12 @@ Result<Relation> RunChain(const BoundQuery& query, const ParallelContext& ctx,
   TraceScope emit_span(trace, "emit", cpu, nullptr);
   emit_span.SetInputRows(rows.size());
   PhaseScope emit_phase(ctx.progress, QueryPhase::kEmit);
-  Relation answer("", query.output_schema);
+  std::vector<RowRef> answer_rows;
+  answer_rows.reserve(rows.size());
   for (const Row& row : rows) {
-    FUZZYDB_RETURN_IF_ERROR(
-        EmitAnswer(query, *row.tuples[0], row.degree, &answer));
+    answer_rows.push_back(RowRef{row.tuples[0], row.degree});
   }
-  answer.EliminateDuplicates(query.with_threshold);
+  Relation answer = EmitAnswer(query, std::move(answer_rows));
   emit_span.SetOutputRows(answer.NumTuples());
   if (ctx.progress != nullptr) ctx.progress->AddRows(answer.NumTuples());
   return answer;
@@ -1962,7 +1965,7 @@ Result<Relation> UnnestingEvaluator::EvaluateTraced(
   // WITH threshold, so one entry (stored at the threshold it was computed
   // at) answers any repeat of the query at an equal or higher threshold
   // by re-filtering. Filtering a deduplicated answer upward is exact:
-  // EliminateDuplicates keeps max degrees independently of the threshold,
+  // DistinctMaxDegree keeps max degrees independently of the threshold,
   // and ApplyThreshold preserves order, so the filtered copy is
   // tuple-for-tuple what a fresh evaluation would produce.
   std::string cache_key;

@@ -48,9 +48,19 @@ double Trapezoid::SupStrictlyAbove(double x) const {
 }
 
 std::string Trapezoid::ToString() const {
-  if (IsCrisp()) return FormatDouble(a_);
-  return "trap(" + FormatDouble(a_) + "," + FormatDouble(b_) + "," +
-         FormatDouble(c_) + "," + FormatDouble(d_) + ")";
+  std::string out;
+  AppendTo(&out);
+  return out;
+}
+
+void Trapezoid::AppendTo(std::string* out) const {
+  if (IsCrisp()) return AppendDouble(a_, 6, out);
+  const double corners[] = {a_, b_, c_, d_};
+  for (int i = 0; i < 4; ++i) {
+    out->append(i == 0 ? "trap(" : ",");
+    AppendDouble(corners[i], 6, out);
+  }
+  out->push_back(')');
 }
 
 }  // namespace fuzzydb

@@ -104,6 +104,8 @@ class Trapezoid {
 
   /// "v" for crisp values, "trap(a,b,c,d)" otherwise.
   std::string ToString() const;
+  /// Appends ToString() to *out.
+  void AppendTo(std::string* out) const;
 
  private:
   double a_, b_, c_, d_;

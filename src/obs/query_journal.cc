@@ -4,48 +4,12 @@
 #include <sstream>
 
 #include "common/failpoint.h"
+#include "common/string_util.h"
 #include "obs/metrics.h"
 
 namespace fuzzydb {
 
 namespace {
-
-/// JSON string escaping for SQL text and fingerprints: quotes,
-/// backslashes, and control characters (statements can contain
-/// anything the lexer accepted, including embedded quotes).
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string RenderRecord(uint64_t id, const QueryJournalRecord& r) {
   std::ostringstream out;

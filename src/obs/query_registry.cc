@@ -73,16 +73,6 @@ void QueryProgress::SwitchTo(QueryPhase phase) {
 
 void QueryProgress::FinishPhases() { SwitchTo(QueryPhase::kNone); }
 
-uint64_t QueryProgress::TotalPhaseMicros() const {
-  uint64_t total = 0;
-  // Index 0 (kNone) holds time flushed after the query parked; it is
-  // not a pipeline phase, so it stays out of the total.
-  for (size_t i = 1; i < kNumQueryPhases; ++i) {
-    total += phase_micros_[i].load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
 std::string QueryProgress::PhasesText() const {
   std::ostringstream out;
   bool first = true;

@@ -131,7 +131,6 @@ class QueryProgress {
     return phase_enters_[static_cast<size_t>(phase)].load(
         std::memory_order_relaxed);
   }
-  uint64_t TotalPhaseMicros() const;
 
   /// "plan=1.2ms sort=0.8ms ..." over the phases entered at least once,
   /// in pipeline order (the EXPLAIN ANALYZE phases= annotation).

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cstdio>
 
+#include "common/string_util.h"
+
 namespace fuzzydb {
 
 namespace {
@@ -26,39 +28,6 @@ std::string FormatIo(const IoStats& io) {
                 static_cast<unsigned long long>(io.page_writes),
                 static_cast<unsigned long long>(io.buffer_hits));
   return buf;
-}
-
-/// Escapes a string for inclusion in a JSON string literal. Span names
-/// and details are plain identifiers today; this keeps the exporters
-/// correct if one ever carries a quote or backslash.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 void AppendField(std::string* out, const char* key, uint64_t value) {
@@ -115,12 +84,6 @@ CpuStats ExecTrace::SelfCpu(size_t id) const {
   CpuStats children;
   for (size_t child : nodes_[id].children) children += nodes_[child].cpu;
   return nodes_[id].cpu.CheckedDelta(children);
-}
-
-IoStats ExecTrace::SelfIo(size_t id) const {
-  IoStats children;
-  for (size_t child : nodes_[id].children) children += nodes_[child].io;
-  return nodes_[id].io.CheckedDelta(children);
 }
 
 void ExecTrace::AppendText(size_t id, int depth, bool include_timing,

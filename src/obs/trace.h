@@ -106,7 +106,6 @@ class ExecTrace {
   /// Exclusive share of node `id`: its inclusive delta minus its
   /// children's (clamped, never negative).
   CpuStats SelfCpu(size_t id) const;
-  IoStats SelfIo(size_t id) const;
 
   /// The annotated tree, one indented line per span, e.g.
   ///   merge-window [R.Y=S.Z] wall=1.234ms rows=300 threads=4

@@ -102,9 +102,13 @@ void ParallelFor(const ParallelContext& ctx, size_t total, size_t morsel_size,
 /// element order are identical for every thread count. Inputs no larger
 /// than one morsel degenerate to a single std::sort -- today's serial
 /// behavior, bit for bit.
+///
+/// Returns false when a governed stop (ctx.query) cut the sort short:
+/// ParallelFor then skipped run sorts or merges, so *v may hold
+/// unsorted runs or default-constructed elements and must not be read.
 template <typename T, typename MakeLess>
-void ParallelSort(const ParallelContext& ctx, std::vector<T>* v,
-                  uint64_t* comparisons, MakeLess&& make_less) {
+[[nodiscard]] bool ParallelSort(const ParallelContext& ctx, std::vector<T>* v,
+                                uint64_t* comparisons, MakeLess&& make_less) {
   const size_t n = v->size();
   const size_t morsel = ctx.morsel_size == 0 ? 1 : ctx.morsel_size;
   uint64_t total = 0;
@@ -122,6 +126,7 @@ void ParallelSort(const ParallelContext& ctx, std::vector<T>* v,
                 v->begin() + static_cast<ptrdiff_t>(end),
                 make_less(&run_counts[begin / morsel]));
     });
+    if (QueryStopRequested(ctx.query)) return false;
     for (uint64_t c : run_counts) total += c;
 
     // Pairwise merge rounds over a ping-pong buffer.
@@ -153,12 +158,14 @@ void ParallelSort(const ParallelContext& ctx, std::vector<T>* v,
           }
         }
       });
+      if (QueryStopRequested(ctx.query)) return false;
       for (uint64_t c : pair_counts) total += c;
       std::swap(src, dst);
     }
     if (src != v) *v = std::move(*src);
   }
   if (comparisons != nullptr) *comparisons += total;
+  return true;
 }
 
 }  // namespace fuzzydb

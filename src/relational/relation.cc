@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
 
 #include "common/string_util.h"
 
@@ -25,21 +24,54 @@ Relation Relation::CopyForWrite() const {
   return copy;
 }
 
-namespace {
-
-/// Orders tuples by value content (total order), used to group duplicates.
-struct TupleValueLess {
-  bool operator()(const Tuple& a, const Tuple& b) const {
-    const size_t n = std::min(a.NumValues(), b.NumValues());
-    for (size_t i = 0; i < n; ++i) {
-      const int cmp = a.ValueAt(i).TotalOrderCompare(b.ValueAt(i));
-      if (cmp != 0) return cmp < 0;
+std::vector<Tuple> DistinctMaxDegree(std::vector<RowRef> rows,
+                                     const std::vector<size_t>* columns,
+                                     double min_degree) {
+  // Three-way TupleValueLess of two rows' projections.
+  auto compare = [columns](const Tuple& a, const Tuple& b) {
+    const size_t wa = columns == nullptr ? a.NumValues() : columns->size();
+    const size_t wb = columns == nullptr ? b.NumValues() : columns->size();
+    for (size_t k = 0; k < std::min(wa, wb); ++k) {
+      const size_t col = columns == nullptr ? k : (*columns)[k];
+      const int cmp = a.ValueAt(col).TotalOrderCompare(b.ValueAt(col));
+      if (cmp != 0) return cmp;
     }
-    return a.NumValues() < b.NumValues();
+    return wa == wb ? 0 : (wa < wb ? -1 : 1);
+  };
+  std::vector<uint32_t> order;
+  order.reserve(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i].degree > 0.0) order.push_back(static_cast<uint32_t>(i));
   }
-};
-
-}  // namespace
+  // Ties keep input order, so each group starts with its first row.
+  std::sort(order.begin(), order.end(), [&](uint32_t x, uint32_t y) {
+    const int cmp = compare(*rows[x].tuple, *rows[y].tuple);
+    return cmp != 0 ? cmp < 0 : x < y;
+  });
+  // Fold each group's maximum into its first row and pack the surviving
+  // first rows to the front of `order`.
+  size_t kept = 0;
+  for (size_t i = 0; i < order.size();) {
+    RowRef& first = rows[order[i]];
+    size_t next = i + 1;
+    for (; next < order.size() &&
+           compare(*first.tuple, *rows[order[next]].tuple) == 0;
+         ++next) {
+      first.degree = std::max(first.degree, rows[order[next]].degree);
+    }
+    if (first.degree >= min_degree) order[kept++] = order[i];
+    i = next;
+  }
+  std::vector<Tuple> distinct;
+  for (size_t i = 0; i < kept; ++i) {
+    const RowRef& row = rows[order[i]];
+    Tuple tuple =
+        columns == nullptr ? *row.tuple : row.tuple->Project(*columns);
+    tuple.set_degree(row.degree);
+    distinct.push_back(std::move(tuple));
+  }
+  return distinct;
+}
 
 Status Relation::Append(Tuple tuple) {
   if (schema_.NumColumns() != 0 && tuple.NumValues() != schema_.NumColumns()) {
@@ -67,19 +99,10 @@ Status Relation::AppendOrMax(Tuple tuple) {
 }
 
 void Relation::EliminateDuplicates(double min_degree) {
-  std::map<Tuple, double, TupleValueLess> best;
-  for (const Tuple& t : tuples_) {
-    auto [it, inserted] = best.emplace(t, t.degree());
-    if (!inserted) it->second = std::max(it->second, t.degree());
-  }
-  tuples_.clear();
-  for (auto& [tuple, degree] : best) {
-    if (degree >= min_degree && degree > 0.0) {
-      Tuple copy = tuple;
-      copy.set_degree(degree);
-      tuples_.push_back(std::move(copy));
-    }
-  }
+  std::vector<RowRef> rows;
+  rows.reserve(tuples_.size());
+  for (const Tuple& t : tuples_) rows.push_back(RowRef{&t, t.degree()});
+  tuples_ = DistinctMaxDegree(std::move(rows), nullptr, min_degree);
   version_ = NextVersion();
 }
 
@@ -104,7 +127,7 @@ bool Relation::EquivalentTo(const Relation& other, double tolerance) const {
   a.EliminateDuplicates();
   b.EliminateDuplicates();
   if (a.NumTuples() != b.NumTuples()) return false;
-  // EliminateDuplicates leaves both sides sorted by TupleValueLess.
+  // EliminateDuplicates leaves both sides in value order.
   for (size_t i = 0; i < a.NumTuples(); ++i) {
     if (!a.TupleAt(i).SameValues(b.TupleAt(i))) return false;
     if (std::abs(a.TupleAt(i).degree() - b.TupleAt(i).degree()) > tolerance) {
@@ -125,7 +148,9 @@ std::string Relation::ToString(size_t max_rows) const {
              " more)\n";
       break;
     }
-    out += "  " + t.ToString() + "\n";
+    out += "  ";
+    out += t.ToString();
+    out += '\n';
   }
   return out;
 }

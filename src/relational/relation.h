@@ -18,6 +18,22 @@
 
 namespace fuzzydb {
 
+/// A candidate row of an answer: a tuple and the degree it carries.
+struct RowRef {
+  const Tuple* tuple = nullptr;
+  double degree = 0.0;
+};
+
+/// The fuzzy duplicate elimination behind every answer: projects each
+/// row onto `columns` (all of its values when null), merges rows with
+/// identical projections keeping the maximum degree and the first row's
+/// values, and returns the survivors with degree > 0 and >= min_degree
+/// in value order (Value::TotalOrderCompare, column by column). Values
+/// are copied once, into the returned tuples.
+std::vector<Tuple> DistinctMaxDegree(std::vector<RowRef> rows,
+                                     const std::vector<size_t>* columns,
+                                     double min_degree);
+
 /// A named, in-memory fuzzy relation.
 ///
 /// Every relation object carries a process-unique `id` and a `version`
@@ -122,7 +138,7 @@ class Relation {
 
   /// Removes duplicates keeping the maximum degree per distinct value
   /// combination, and drops tuples below `min_degree` (the WITH clause:
-  /// WITH D >= z). Order of survivors is unspecified but deterministic.
+  /// WITH D >= z). Survivors are in value order (DistinctMaxDegree).
   void EliminateDuplicates(double min_degree = 0.0);
 
   /// Drops tuples whose degree is < min_degree.

@@ -27,13 +27,24 @@ Tuple Tuple::Project(const std::vector<size_t>& indexes) const {
   return Tuple(std::move(projected), degree_);
 }
 
+bool TupleValueLess::operator()(const Tuple& a, const Tuple& b) const {
+  const size_t n = std::min(a.NumValues(), b.NumValues());
+  for (size_t i = 0; i < n; ++i) {
+    const int cmp = a.ValueAt(i).TotalOrderCompare(b.ValueAt(i));
+    if (cmp != 0) return cmp < 0;
+  }
+  return a.NumValues() < b.NumValues();
+}
+
 std::string Tuple::ToString() const {
   std::string out = "[";
   for (size_t i = 0; i < values_.size(); ++i) {
     if (i > 0) out += ", ";
-    out += values_[i].ToString();
+    values_[i].AppendTo(&out);
   }
-  out += " | D=" + FormatDouble(degree_, 4) + "]";
+  out += " | D=";
+  AppendDouble(degree_, 4, &out);
+  out += ']';
   return out;
 }
 

@@ -21,7 +21,6 @@ class Tuple {
 
   size_t NumValues() const { return values_.size(); }
   const Value& ValueAt(size_t i) const { return values_[i]; }
-  Value& MutableValueAt(size_t i) { return values_[i]; }
   const std::vector<Value>& values() const { return values_; }
 
   double degree() const { return degree_; }
@@ -42,6 +41,13 @@ class Tuple {
  private:
   std::vector<Value> values_;
   double degree_ = 1.0;
+};
+
+/// Orders tuples by value content: Value::TotalOrderCompare column by
+/// column, the shorter tuple first on a common prefix. Duplicates
+/// (SameValues) compare equal; the grouping and set-operation order.
+struct TupleValueLess {
+  bool operator()(const Tuple& a, const Tuple& b) const;
 };
 
 }  // namespace fuzzydb

@@ -92,15 +92,19 @@ int Value::TotalOrderCompare(const Value& other) const {
 }
 
 std::string Value::ToString() const {
-  switch (type()) {
-    case ValueType::kNull:
-      return "NULL";
-    case ValueType::kString:
-      return "'" + AsString() + "'";
-    case ValueType::kFuzzy:
-      return AsFuzzy().ToString();
+  std::string out;
+  AppendTo(&out);
+  return out;
+}
+
+void Value::AppendTo(std::string* out) const {
+  if (is_fuzzy()) {
+    AsFuzzy().AppendTo(out);
+  } else if (is_string()) {
+    out->append(1, '\'').append(AsString()).append(1, '\'');
+  } else {
+    out->append("NULL");
   }
-  return "?";
 }
 
 }  // namespace fuzzydb

@@ -77,6 +77,8 @@ class Value {
   int TotalOrderCompare(const Value& other) const;
 
   std::string ToString() const;
+  /// Appends ToString() to *out.
+  void AppendTo(std::string* out) const;
 
  private:
   std::variant<std::monostate, std::string, Trapezoid> data_;

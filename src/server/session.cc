@@ -132,23 +132,21 @@ void Session::OnAnswer(const Relation& answer) {
   if (current_frame_ == nullptr) return;
   ReplyFrame& frame = *current_frame_;
   frame.has_answer = true;
-  frame.columns.clear();
-  frame.rows.clear();
-  frame.degrees.clear();
+  frame.answer_json.clear();
+  AnswerWriter writer(&frame.answer_json);
   for (const Column& column : answer.schema().columns()) {
-    frame.columns.push_back(column.name);
+    writer.Column(column.name);
   }
-  frame.rows.reserve(answer.NumTuples());
-  frame.degrees.reserve(answer.NumTuples());
   for (const Tuple& tuple : answer.tuples()) {
-    std::vector<std::string> row;
-    row.reserve(tuple.values().size());
+    writer.BeginRow();
     for (const Value& value : tuple.values()) {
-      row.push_back(value.ToString());
+      value.AppendTo(writer.BeginValue());
+      writer.EndValue();
     }
-    frame.rows.push_back(std::move(row));
-    frame.degrees.push_back(tuple.degree());
   }
+  writer.BeginDegrees();
+  for (const Tuple& tuple : answer.tuples()) writer.Degree(tuple.degree());
+  writer.Finish();
 }
 
 bool Session::ExecuteSet(const std::string& line, ReplyFrame* frame) {

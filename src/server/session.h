@@ -72,8 +72,8 @@ class Session : public ShellResultSink {
     return shell_.memory_budget();
   }
 
-  // ShellResultSink: captures the answer relation into the frame being
-  // built by the current Execute call.
+  // ShellResultSink: encodes the answer relation into the frame being
+  // built by the current Execute call (ReplyFrame::answer_json).
   void OnAnswer(const Relation& answer) override;
 
  private:

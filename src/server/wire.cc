@@ -1,98 +1,91 @@
 #include "server/wire.h"
 
+#include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <cstdlib>
-#include <sstream>
 
 namespace fuzzydb {
 namespace server {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+AnswerWriter::AnswerWriter(std::string* out) : out_(out) {
+  *out_ += ",\"columns\":[";
 }
 
-namespace {
-
-/// Shortest decimal form that parses back to exactly the same double:
-/// answer degrees cross the wire bit-identical (the multi-session
-/// determinism matrix compares them against an in-process baseline),
-/// while common values still render compactly ("0.5", not 17 digits).
-std::string RoundTripDouble(double value) {
-  char buf[32];
-  for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
-    if (std::strtod(buf, nullptr) == value) break;
-  }
-  return buf;
+void AnswerWriter::Column(std::string_view name) {
+  *out_ += columns_++ == 0 ? "\"" : ",\"";
+  AppendJsonEscaped(name, out_);
+  *out_ += '"';
 }
 
-}  // namespace
+void AnswerWriter::BeginRow() {
+  *out_ += rows_++ == 0 ? "],\"rows\":[[" : "],[";
+  values_ = 0;
+}
+
+std::string* AnswerWriter::BeginValue() {
+  *out_ += values_++ == 0 ? "\"" : ",\"";
+  value_start_ = out_->size();
+  return out_;
+}
+
+void AnswerWriter::EndValue() {
+  // Only string values can need escaping: look before copying.
+  if (std::any_of(out_->begin() + value_start_, out_->end(),
+                  NeedsJsonEscape)) {
+    const std::string raw = out_->substr(value_start_);
+    out_->resize(value_start_);
+    AppendJsonEscaped(raw, out_);
+  }
+  *out_ += '"';
+}
+
+void AnswerWriter::BeginDegrees() {
+  *out_ += rows_ == 0 ? "],\"rows\":[],\"degrees\":["
+                       : "]],\"degrees\":[";
+}
+
+void AnswerWriter::Degree(double degree) {
+  if (degrees_++ > 0) *out_ += ',';
+  AppendRoundTripDouble(degree, out_);
+}
+
+void AnswerWriter::Finish() { *out_ += ']'; }
 
 std::string RenderReplyFrame(const ReplyFrame& frame) {
-  std::ostringstream out;
-  out << "{\"session\":" << frame.session_id << ",\"seq\":" << frame.seq
-      << ",\"status\":\"" << JsonEscape(frame.status) << "\",\"error\":\""
-      << JsonEscape(frame.error) << "\",\"text\":\""
-      << JsonEscape(frame.text)
-      << "\",\"elapsed_ms\":" << RoundTripDouble(frame.elapsed_ms)
-      << ",\"queue_wait_ms\":" << RoundTripDouble(frame.queue_wait_ms);
-  if (frame.has_answer) {
-    out << ",\"columns\":[";
-    for (size_t i = 0; i < frame.columns.size(); ++i) {
-      if (i > 0) out << ",";
-      out << "\"" << JsonEscape(frame.columns[i]) << "\"";
-    }
-    out << "],\"rows\":[";
-    for (size_t i = 0; i < frame.rows.size(); ++i) {
-      if (i > 0) out << ",";
-      out << "[";
-      for (size_t j = 0; j < frame.rows[i].size(); ++j) {
-        if (j > 0) out << ",";
-        out << "\"" << JsonEscape(frame.rows[i][j]) << "\"";
+  std::string line = "{\"session\":" + std::to_string(frame.session_id) +
+                     ",\"seq\":" + std::to_string(frame.seq) +
+                     ",\"status\":\"";
+  AppendJsonEscaped(frame.status, &line);
+  line += "\",\"error\":\"";
+  AppendJsonEscaped(frame.error, &line);
+  line += "\",\"text\":\"";
+  AppendJsonEscaped(frame.text, &line);
+  line += "\",\"elapsed_ms\":";
+  AppendRoundTripDouble(frame.elapsed_ms, &line);
+  line += ",\"queue_wait_ms\":";
+  AppendRoundTripDouble(frame.queue_wait_ms, &line);
+  if (frame.has_answer && frame.answer_json.empty()) {
+    AnswerWriter writer(&line);
+    for (const std::string& column : frame.columns) writer.Column(column);
+    for (const std::vector<std::string>& row : frame.rows) {
+      writer.BeginRow();
+      for (const std::string& value : row) {
+        writer.BeginValue()->append(value);
+        writer.EndValue();
       }
-      out << "]";
     }
-    out << "],\"degrees\":[";
-    for (size_t i = 0; i < frame.degrees.size(); ++i) {
-      if (i > 0) out << ",";
-      out << RoundTripDouble(frame.degrees[i]);
-    }
-    out << "]";
+    writer.BeginDegrees();
+    for (const double degree : frame.degrees) writer.Degree(degree);
+    writer.Finish();
+  } else if (frame.has_answer) {
+    // Exactly the rest of the line, '}' and the transport's newline.
+    line.reserve(line.size() + frame.answer_json.size() +
+                 (frame.goodbye ? 15 : 0) + 2);
+    line += frame.answer_json;
   }
-  if (frame.goodbye) out << ",\"goodbye\":true";
-  out << "}";
-  return out.str();
+  if (frame.goodbye) line += ",\"goodbye\":true";
+  line += '}';
+  return line;
 }
 
 namespace {
@@ -240,60 +233,35 @@ class FrameParser {
     }
     if (key == "columns") {
       frame->has_answer = true;
-      return ParseStringArray(&frame->columns);
+      return ParseArray(&frame->columns, &FrameParser::ParseString);
     }
     if (key == "degrees") {
       frame->has_answer = true;
-      return ParseNumberArray(&frame->degrees);
+      return ParseArray(&frame->degrees, &FrameParser::ParseNumber);
     }
     if (key == "rows") {
       frame->has_answer = true;
-      if (!Consume('[')) return false;
-      SkipSpace();
-      frame->rows.clear();
-      if (Consume(']')) return true;
-      while (true) {
-        std::vector<std::string> row;
-        if (!ParseStringArray(&row)) return false;
-        frame->rows.push_back(std::move(row));
-        SkipSpace();
-        if (Consume(',')) {
-          SkipSpace();
-          continue;
-        }
-        return Consume(']');
-      }
+      return ParseArray(&frame->rows, &FrameParser::ParseStringArray);
     }
     return false;  // unknown key: not this codec's schema
   }
 
   bool ParseStringArray(std::vector<std::string>* out) {
-    if (!Consume('[')) return false;
-    SkipSpace();
-    out->clear();
-    if (Consume(']')) return true;
-    while (true) {
-      std::string value;
-      if (!ParseString(&value)) return false;
-      out->push_back(std::move(value));
-      SkipSpace();
-      if (Consume(',')) {
-        SkipSpace();
-        continue;
-      }
-      return Consume(']');
-    }
+    return ParseArray(out, &FrameParser::ParseString);
   }
 
-  bool ParseNumberArray(std::vector<double>* out) {
+  /// A JSON array whose elements `parse_element` reads.
+  template <typename T>
+  bool ParseArray(std::vector<T>* out,
+                  bool (FrameParser::*parse_element)(T*)) {
     if (!Consume('[')) return false;
     SkipSpace();
     out->clear();
     if (Consume(']')) return true;
     while (true) {
-      double value = 0;
-      if (!ParseNumber(&value)) return false;
-      out->push_back(value);
+      T element;
+      if (!(this->*parse_element)(&element)) return false;
+      out->push_back(std::move(element));
       SkipSpace();
       if (Consume(',')) {
         SkipSpace();

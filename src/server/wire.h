@@ -19,7 +19,10 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "common/string_util.h"
 
 namespace fuzzydb {
 namespace server {
@@ -31,7 +34,12 @@ struct ReplyFrame {
   std::string status = "OK";   // StatusCodeName(): OK, CANCELLED, ...
   std::string error;           // rendered error text; empty when OK
   std::string text;            // the shell's rendered output
-  bool has_answer = false;     // SELECT answered: columns/rows/degrees set
+  bool has_answer = false;     // SELECT answered
+  // The answer as the wire carries it (see AnswerWriter), encoded once by
+  // Session::Execute; when empty, RenderReplyFrame encodes the decoded
+  // form below instead.
+  std::string answer_json;
+  // The decoded answer, filled by ParseReplyFrame.
   std::vector<std::string> columns;
   std::vector<std::vector<std::string>> rows;  // rendered values
   std::vector<double> degrees;                 // one per row
@@ -48,8 +56,39 @@ std::string RenderReplyFrame(const ReplyFrame& frame);
 /// a well-formed frame of this codec's schema.
 bool ParseReplyFrame(const std::string& line, ReplyFrame* frame);
 
-/// JSON string escaping used by the codec (exposed for tests).
-std::string JsonEscape(const std::string& s);
+/// JSON string escaping used by the codec (exposed for tools).
+using ::fuzzydb::JsonEscape;
+
+/// The one writer of a reply's answer:
+///   ,"columns":[...],"rows":[[...],...],"degrees":[...]
+/// Session feeds it straight from the answer relation; RenderReplyFrame
+/// from a decoded frame's columns/rows/degrees. Call Column per column,
+/// BeginRow and the values of every row, then BeginDegrees, one Degree
+/// per row, and Finish.
+class AnswerWriter {
+ public:
+  explicit AnswerWriter(std::string* out);
+
+  void Column(std::string_view name);
+  void BeginRow();
+  /// Opens the current row's next value: append its rendered text to the
+  /// returned string, then call EndValue, which quotes and escapes it.
+  std::string* BeginValue();
+  void EndValue();
+
+  void BeginDegrees();
+  /// Round-trip exact: the degree parses back bit-identical.
+  void Degree(double degree);
+  void Finish();
+
+ private:
+  std::string* out_;
+  size_t columns_ = 0;
+  size_t rows_ = 0;
+  size_t values_ = 0;   // in the current row
+  size_t degrees_ = 0;
+  size_t value_start_ = 0;
+};
 
 }  // namespace server
 }  // namespace fuzzydb

@@ -111,19 +111,19 @@ Result<std::unique_ptr<PageFile>> ExternalSort(
         metrics->sort_spill_bytes->Add(batch_bytes);
         metrics->sort_rows->Add(batch.size());
       }
-      if (parallel != nullptr) {
-        ParallelSort(*parallel, &batch, &stats->comparisons,
-                     [&less](uint64_t* count) {
-                       return [&less, count](const Tuple& a, const Tuple& b) {
-                         ++*count;
-                         return less(a, b);
-                       };
-                     });
-      } else {
+      if (parallel == nullptr) {
         std::sort(batch.begin(), batch.end(), counting_less);
+      } else if (!ParallelSort(*parallel, &batch, &stats->comparisons,
+                               [&less](uint64_t* count) {
+                                 return [&less, count](const Tuple& a,
+                                                       const Tuple& b) {
+                                   ++*count;
+                                   return less(a, b);
+                                 };
+                               })) {
+        // Stopped mid-sort: the batch is no run; do not write it out.
+        return CheckQuery(parallel->query);
       }
-      // A stop mid-ParallelSort leaves the batch partially sorted; do not
-      // write it out as a run.
       FUZZYDB_RETURN_IF_ERROR(CheckQuery(query));
       const std::string path =
           temp_prefix + ".run" + std::to_string(run_paths.size());

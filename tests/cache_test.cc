@@ -343,8 +343,7 @@ TEST(CacheFailPointTest, SortedFileInsertUnderFaultLeavesNoFile) {
   FailPoints::DisarmAll();
   CacheManager cache;
   cache.set_capacity_bytes(1 << 20);
-  const std::string path =
-      ::testing::TempDir() + "/fuzzydb_cache_sorted_run";
+  const std::string path = testing_util::ScratchDir();
   {
     std::ofstream file(path);
     file << "sorted payload";
@@ -365,8 +364,7 @@ TEST(CacheFailPointTest, SortedFileInsertUnderFaultLeavesNoFile) {
 TEST(CacheFailPointTest, ClearUnlinksCachedSortedFiles) {
   CacheManager cache;
   cache.set_capacity_bytes(1 << 20);
-  const std::string path =
-      ::testing::TempDir() + "/fuzzydb_cache_sorted_run2";
+  const std::string path = testing_util::ScratchDir();
   {
     std::ofstream file(path);
     file << "sorted payload";

@@ -12,14 +12,12 @@
 namespace fuzzydb {
 namespace {
 
-std::string TempDir(const std::string& name) {
-  return ::testing::TempDir() + "/fuzzydb_db_" + name;
-}
+using testing_util::ScratchDir;
 
 TEST(DatabaseStoreTest, RoundTripsThePaperDatabase) {
   Catalog original = testing_util::MakePaperCatalog();
   BufferPool pool(16);
-  const std::string dir = TempDir("paper");
+  const std::string dir = ScratchDir("paper");
   ASSERT_OK(SaveDatabase(original, dir, &pool));
 
   ASSERT_OK_AND_ASSIGN(Catalog loaded, LoadDatabase(dir, &pool));
@@ -52,7 +50,7 @@ TEST(DatabaseStoreTest, RoundTripsLargeGeneratedRelations) {
   Catalog original;
   ASSERT_OK(original.AddRelation(GenerateRandomRelation(9, "Big", 3, 2000)));
   BufferPool pool(8);
-  const std::string dir = TempDir("large");
+  const std::string dir = ScratchDir("large");
   ASSERT_OK(SaveDatabase(original, dir, &pool));
   ASSERT_OK_AND_ASSIGN(Catalog loaded, LoadDatabase(dir, &pool));
   ASSERT_OK_AND_ASSIGN(const Relation* before, original.GetRelation("Big"));
@@ -66,7 +64,7 @@ TEST(DatabaseStoreTest, RoundTripsLargeGeneratedRelations) {
 
 TEST(DatabaseStoreTest, SaveReplacesExistingDatabase) {
   BufferPool pool(8);
-  const std::string dir = TempDir("replace");
+  const std::string dir = ScratchDir("replace");
   Catalog first;
   ASSERT_OK(first.AddRelation(GenerateRandomRelation(1, "A", 1, 10)));
   ASSERT_OK(SaveDatabase(first, dir, &pool));
@@ -82,14 +80,14 @@ TEST(DatabaseStoreTest, SaveReplacesExistingDatabase) {
 
 TEST(DatabaseStoreTest, LoadMissingDirectoryFails) {
   BufferPool pool(4);
-  const auto result = LoadDatabase(TempDir("nonexistent_xyz"), &pool);
+  const auto result = LoadDatabase(ScratchDir("nonexistent_xyz"), &pool);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
 }
 
 TEST(DatabaseStoreTest, CorruptManifestFails) {
   BufferPool pool(4);
-  const std::string dir = TempDir("corrupt");
+  const std::string dir = ScratchDir("corrupt");
   Catalog catalog;
   ASSERT_OK(catalog.AddRelation(GenerateRandomRelation(3, "C", 1, 4)));
   ASSERT_OK(SaveDatabase(catalog, dir, &pool));
@@ -102,7 +100,7 @@ TEST(DatabaseStoreTest, CorruptManifestFails) {
 
 TEST(DatabaseStoreTest, TruncatedManifestFails) {
   BufferPool pool(4);
-  const std::string dir = TempDir("truncated");
+  const std::string dir = ScratchDir("truncated");
   Catalog catalog;
   ASSERT_OK(catalog.AddRelation(GenerateRandomRelation(4, "D", 1, 4)));
   ASSERT_OK(SaveDatabase(catalog, dir, &pool));
@@ -124,7 +122,7 @@ TEST(DatabaseStoreTest, TruncatedManifestFails) {
 
 TEST(DatabaseStoreTest, EmptyCatalogRoundTrips) {
   BufferPool pool(4);
-  const std::string dir = TempDir("empty");
+  const std::string dir = ScratchDir("empty");
   Catalog catalog;
   catalog.mutable_terms() = TermDictionary();  // nothing at all
   ASSERT_OK(SaveDatabase(catalog, dir, &pool));

@@ -81,8 +81,11 @@ TEST_F(ExplainTest, WithThresholdShown) {
 
 // ----------------------- EXPLAIN [ANALYZE] -----------------------------
 
-std::string RunShell(const std::string& script) {
+/// Runs `script` on a fresh shell; `threads` pins the engine's worker
+/// count (0 = the host's cores).
+std::string RunShell(const std::string& script, size_t threads = 0) {
   Shell shell;
+  shell.set_num_threads(threads);
   std::istringstream in(script);
   std::ostringstream out;
   shell.Run(in, out, /*interactive=*/false);
@@ -129,13 +132,14 @@ TEST(ExplainAnalyzeTest, TypeJaGolden) {
   const std::string out = RunShell(
       std::string(kExplainSetup) +
       "EXPLAIN ANALYZE SELECT R.C0 FROM R WHERE R.C1 > "
-      "(SELECT MAX(S.C0) FROM S WHERE S.C1 = R.C2);\n");
+      "(SELECT MAX(S.C0) FROM S WHERE S.C1 = R.C2);\n",
+      /*threads=*/1);
 
   // The golden tail: classification, plan, per-operator trace with
   // cardinalities and exact counter deltas, and the answer count. Wall
-  // times and worker counts are normalized away; every counter is
-  // thread-count-invariant (see parallel_test.cc), so this text is
-  // stable across machines.
+  // times are normalized away, and one pinned worker keeps the
+  // threads=N annotation out; every counter is thread-count-invariant
+  // (see parallel_test.cc), so this text is stable across machines.
   const std::string kGolden =
       "-- type JA\n"
       "plan: type JA (Theorem 6.1)\n"
@@ -188,7 +192,8 @@ TEST(ExplainAnalyzeTest, BatchAnnotationsGolden) {
   const std::string out = RunShell(
       std::string(kBatchExplainSetup) +
       "EXPLAIN ANALYZE SELECT R.C0 FROM R WHERE R.C0 >= 1 AND "
-      "R.C1 IN (SELECT S.C0 FROM S);\n");
+      "R.C1 IN (SELECT S.C0 FROM S);\n",
+      /*threads=*/1);
 
   const std::string kGolden =
       "-- type N\n"

@@ -11,9 +11,7 @@
 namespace fuzzydb {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/fuzzydb_sort_" + name;
-}
+using testing_util::ScratchDir;
 
 TupleLess IntervalLessOn(size_t col) {
   return [col](const Tuple& a, const Tuple& b) {
@@ -29,8 +27,8 @@ TEST_P(ExternalSortTest, MatchesInMemorySortOracle) {
   Relation relation =
       GenerateRandomRelation(/*seed=*/num_rows, "R", 2, num_rows, 0, 500);
 
-  const std::string in_path = TempPath("in" + std::to_string(num_rows));
-  const std::string out_path = TempPath("out" + std::to_string(num_rows));
+  const std::string in_path = ScratchDir("in" + std::to_string(num_rows));
+  const std::string out_path = ScratchDir("out" + std::to_string(num_rows));
   BufferPool pool(8);
   ASSERT_OK_AND_ASSIGN(auto input,
                        WriteRelationToFile(relation, in_path, &pool, 128));
@@ -39,7 +37,7 @@ TEST_P(ExternalSortTest, MatchesInMemorySortOracle) {
   ASSERT_OK_AND_ASSIGN(
       auto sorted,
       ExternalSort(input.get(), &pool, IntervalLessOn(0),
-                   TempPath("tmp" + std::to_string(num_rows)), out_path,
+                   ScratchDir("tmp" + std::to_string(num_rows)), out_path,
                    /*buffer_pages=*/4, /*min_record_size=*/128, &stats));
   EXPECT_EQ(stats.input_tuples, relation.NumTuples());
 
@@ -76,7 +74,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, ExternalSortTest,
 
 TEST(ExternalSortTest, MultipleRunsAndMergePasses) {
   Relation relation = GenerateRandomRelation(99, "R", 1, 4000, 0, 10000);
-  const std::string in_path = TempPath("multi_in");
+  const std::string in_path = ScratchDir("multi_in");
   BufferPool pool(4);
   ASSERT_OK_AND_ASSIGN(auto input,
                        WriteRelationToFile(relation, in_path, &pool, 256));
@@ -84,8 +82,8 @@ TEST(ExternalSortTest, MultipleRunsAndMergePasses) {
   SortStats stats;
   ASSERT_OK_AND_ASSIGN(
       auto sorted,
-      ExternalSort(input.get(), &pool, IntervalLessOn(0), TempPath("multi"),
-                   TempPath("multi_out"), /*buffer_pages=*/3,
+      ExternalSort(input.get(), &pool, IntervalLessOn(0), ScratchDir("multi"),
+                   ScratchDir("multi_out"), /*buffer_pages=*/3,
                    /*min_record_size=*/256, &stats));
   // 4000 tuples x 256 B = ~1 MB with a 24 KiB budget: many runs, and a
   // fan-in of 2 forces multiple merge passes.
@@ -104,18 +102,18 @@ TEST(ExternalSortTest, MultipleRunsAndMergePasses) {
   input.reset();
   sorted.reset();
   RemoveFileIfExists(in_path);
-  RemoveFileIfExists(TempPath("multi_out"));
+  RemoveFileIfExists(ScratchDir("multi_out"));
 }
 
 TEST(ExternalSortTest, RejectsTinyBuffer) {
   Relation relation = GenerateRandomRelation(1, "R", 1, 10);
-  const std::string in_path = TempPath("tiny_in");
+  const std::string in_path = ScratchDir("tiny_in");
   BufferPool pool(4);
   ASSERT_OK_AND_ASSIGN(auto input,
                        WriteRelationToFile(relation, in_path, &pool));
   const auto result =
-      ExternalSort(input.get(), &pool, IntervalLessOn(0), TempPath("tiny"),
-                   TempPath("tiny_out"), /*buffer_pages=*/2);
+      ExternalSort(input.get(), &pool, IntervalLessOn(0), ScratchDir("tiny"),
+                   ScratchDir("tiny_out"), /*buffer_pages=*/2);
   EXPECT_FALSE(result.ok());
   input.reset();
   RemoveFileIfExists(in_path);
@@ -123,19 +121,19 @@ TEST(ExternalSortTest, RejectsTinyBuffer) {
 
 TEST(ExternalSortTest, SortedFileKeepsPageCountWithPadding) {
   Relation relation = GenerateRandomRelation(5, "R", 1, 500, 0, 100);
-  const std::string in_path = TempPath("pages_in");
+  const std::string in_path = ScratchDir("pages_in");
   BufferPool pool(8);
   ASSERT_OK_AND_ASSIGN(auto input,
                        WriteRelationToFile(relation, in_path, &pool, 512));
   ASSERT_OK_AND_ASSIGN(
       auto sorted,
-      ExternalSort(input.get(), &pool, IntervalLessOn(0), TempPath("pages"),
-                   TempPath("pages_out"), 4, 512));
+      ExternalSort(input.get(), &pool, IntervalLessOn(0), ScratchDir("pages"),
+                   ScratchDir("pages_out"), 4, 512));
   EXPECT_EQ(sorted->NumPages(), input->NumPages());
   input.reset();
   sorted.reset();
   RemoveFileIfExists(in_path);
-  RemoveFileIfExists(TempPath("pages_out"));
+  RemoveFileIfExists(ScratchDir("pages_out"));
 }
 
 }  // namespace

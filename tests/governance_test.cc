@@ -35,8 +35,7 @@ namespace fs = std::filesystem;
 class ScratchDir {
  public:
   explicit ScratchDir(const std::string& name)
-      : path_(fs::path(::testing::TempDir()) / ("fuzzydb_gov_" + name)) {
-    fs::remove_all(path_);
+      : path_(testing_util::ScratchDir(name)) {
     fs::create_directories(path_);
   }
   ~ScratchDir() {

@@ -313,8 +313,7 @@ class JournalTest : public IntrospectionTest {
  protected:
   void SetUp() override {
     IntrospectionTest::SetUp();
-    dir_ = fs::path(::testing::TempDir()) / "fuzzydb_journal_test";
-    fs::remove_all(dir_);
+    dir_ = testing_util::ScratchDir();
     fs::create_directories(dir_);
     path_ = (dir_ / "journal.jsonl").string();
   }

@@ -17,9 +17,7 @@
 namespace fuzzydb {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/fuzzydb_join_" + name;
-}
+using testing_util::ScratchDir;
 
 /// All emitted pairs as a value->degree map (pairs keyed by the crisp
 /// outer id in column 0 and the inner key corners).
@@ -38,8 +36,8 @@ TEST_P(JoinOperatorsTest, MergeJoinMatchesNestedLoopOracle) {
   TypeJDataset dataset = GenerateTypeJDataset(config);
 
   BufferPool pool(16);
-  const std::string r_path = TempPath("R" + std::to_string(seed));
-  const std::string s_path = TempPath("S" + std::to_string(seed));
+  const std::string r_path = ScratchDir("R" + std::to_string(seed));
+  const std::string s_path = ScratchDir("S" + std::to_string(seed));
   ASSERT_OK_AND_ASSIGN(auto r_file,
                        WriteRelationToFile(dataset.r, r_path, &pool, 128));
   ASSERT_OK_AND_ASSIGN(auto s_file,
@@ -78,12 +76,12 @@ TEST_P(JoinOperatorsTest, MergeJoinMatchesNestedLoopOracle) {
   };
   ASSERT_OK_AND_ASSIGN(
       auto r_sorted,
-      ExternalSort(r_file.get(), &pool, less_on(1), TempPath("rs"),
-                   TempPath("r_sorted" + std::to_string(seed)), 8, 128));
+      ExternalSort(r_file.get(), &pool, less_on(1), ScratchDir("rs"),
+                   ScratchDir("r_sorted" + std::to_string(seed)), 8, 128));
   ASSERT_OK_AND_ASSIGN(
       auto s_sorted,
-      ExternalSort(s_file.get(), &pool, less_on(0), TempPath("ss"),
-                   TempPath("s_sorted" + std::to_string(seed)), 8, 128));
+      ExternalSort(s_file.get(), &pool, less_on(0), ScratchDir("ss"),
+                   ScratchDir("s_sorted" + std::to_string(seed)), 8, 128));
 
   PairMap actual;
   CpuStats cpu;
@@ -112,8 +110,8 @@ TEST_P(JoinOperatorsTest, MergeJoinMatchesNestedLoopOracle) {
   s_sorted.reset();
   RemoveFileIfExists(r_path);
   RemoveFileIfExists(s_path);
-  RemoveFileIfExists(TempPath("r_sorted" + std::to_string(seed)));
-  RemoveFileIfExists(TempPath("s_sorted" + std::to_string(seed)));
+  RemoveFileIfExists(ScratchDir("r_sorted" + std::to_string(seed)));
+  RemoveFileIfExists(ScratchDir("s_sorted" + std::to_string(seed)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, JoinOperatorsTest,
@@ -130,9 +128,11 @@ TEST(JoinIoTest, MergeJoinReadsEachInputOnceWhenWindowsFit) {
   IoStats io;
   BufferPool pool(32, &io);
   ASSERT_OK_AND_ASSIGN(
-      auto r_file, WriteRelationToFile(dataset.r, TempPath("io_r"), &pool, 128));
+      auto r_file,
+      WriteRelationToFile(dataset.r, ScratchDir("io_r"), &pool, 128));
   ASSERT_OK_AND_ASSIGN(
-      auto s_file, WriteRelationToFile(dataset.s, TempPath("io_s"), &pool, 128));
+      auto s_file,
+      WriteRelationToFile(dataset.s, ScratchDir("io_s"), &pool, 128));
   auto less_on = [](size_t col) {
     return TupleLess([col](const Tuple& a, const Tuple& b) {
       return IntervalOrderLess(a.ValueAt(col).AsFuzzy(),
@@ -141,12 +141,12 @@ TEST(JoinIoTest, MergeJoinReadsEachInputOnceWhenWindowsFit) {
   };
   ASSERT_OK_AND_ASSIGN(auto r_sorted,
                        ExternalSort(r_file.get(), &pool, less_on(1),
-                                    TempPath("io_rs"), TempPath("io_rsd"), 8,
-                                    128));
+                                    ScratchDir("io_rs"), ScratchDir("io_rsd"),
+                                    8, 128));
   ASSERT_OK_AND_ASSIGN(auto s_sorted,
                        ExternalSort(s_file.get(), &pool, less_on(0),
-                                    TempPath("io_ss"), TempPath("io_ssd"), 8,
-                                    128));
+                                    ScratchDir("io_ss"), ScratchDir("io_ssd"),
+                                    8, 128));
 
   pool.Clear();
   pool.ResetStats();
@@ -166,10 +166,10 @@ TEST(JoinIoTest, MergeJoinReadsEachInputOnceWhenWindowsFit) {
   s_file.reset();
   r_sorted.reset();
   s_sorted.reset();
-  RemoveFileIfExists(TempPath("io_r"));
-  RemoveFileIfExists(TempPath("io_s"));
-  RemoveFileIfExists(TempPath("io_rsd"));
-  RemoveFileIfExists(TempPath("io_ssd"));
+  RemoveFileIfExists(ScratchDir("io_r"));
+  RemoveFileIfExists(ScratchDir("io_s"));
+  RemoveFileIfExists(ScratchDir("io_rsd"));
+  RemoveFileIfExists(ScratchDir("io_ssd"));
 }
 
 TEST(JoinIoTest, NestedLoopIoMatchesFormula) {
@@ -182,10 +182,10 @@ TEST(JoinIoTest, NestedLoopIoMatchesFormula) {
   BufferPool setup_pool(8);
   ASSERT_OK_AND_ASSIGN(
       auto r_file,
-      WriteRelationToFile(dataset.r, TempPath("nl_r"), &setup_pool, 128));
+      WriteRelationToFile(dataset.r, ScratchDir("nl_r"), &setup_pool, 128));
   ASSERT_OK_AND_ASSIGN(
       auto s_file,
-      WriteRelationToFile(dataset.s, TempPath("nl_s"), &setup_pool, 128));
+      WriteRelationToFile(dataset.s, ScratchDir("nl_s"), &setup_pool, 128));
 
   const size_t buffer_pages = 4;
   IoStats io;
@@ -205,8 +205,8 @@ TEST(JoinIoTest, NestedLoopIoMatchesFormula) {
 
   r_file.reset();
   s_file.reset();
-  RemoveFileIfExists(TempPath("nl_r"));
-  RemoveFileIfExists(TempPath("nl_s"));
+  RemoveFileIfExists(ScratchDir("nl_r"));
+  RemoveFileIfExists(ScratchDir("nl_s"));
 }
 
 TEST(ExecutorTest, ThresholdPushdownKeepsAnswersAndShrinksWork) {
@@ -225,10 +225,10 @@ TEST(ExecutorTest, ThresholdPushdownKeepsAnswersAndShrinksWork) {
   BufferPool setup_pool(8);
   ASSERT_OK_AND_ASSIGN(
       auto r_file,
-      WriteRelationToFile(dataset.r, TempPath("th_r"), &setup_pool, 128));
+      WriteRelationToFile(dataset.r, ScratchDir("th_r"), &setup_pool, 128));
   ASSERT_OK_AND_ASSIGN(
       auto s_file,
-      WriteRelationToFile(dataset.s, TempPath("th_s"), &setup_pool, 128));
+      WriteRelationToFile(dataset.s, ScratchDir("th_s"), &setup_pool, 128));
 
   uint64_t previous_pairs = UINT64_MAX;
   for (double threshold : {0.0, 0.3, 0.6, 0.9}) {
@@ -240,7 +240,7 @@ TEST(ExecutorTest, ThresholdPushdownKeepsAnswersAndShrinksWork) {
     ASSERT_OK_AND_ASSIGN(
         RunResult merged,
         RunTypeJMergeJoin(r_file.get(), s_file.get(), query, 8,
-                          TempPath("th_tmp"), 128));
+                          ScratchDir("th_tmp"), 128));
     EXPECT_TRUE(nested.answer.EquivalentTo(merged.answer, 1e-12))
         << "threshold " << threshold;
     EXPECT_LE(merged.stats.cpu.tuple_pairs, previous_pairs)
@@ -250,8 +250,8 @@ TEST(ExecutorTest, ThresholdPushdownKeepsAnswersAndShrinksWork) {
 
   r_file.reset();
   s_file.reset();
-  RemoveFileIfExists(TempPath("th_r"));
-  RemoveFileIfExists(TempPath("th_s"));
+  RemoveFileIfExists(ScratchDir("th_r"));
+  RemoveFileIfExists(ScratchDir("th_s"));
 }
 
 TEST(ExecutorTest, NestedLoopAndMergeJoinRunnersAgree) {
@@ -267,10 +267,10 @@ TEST(ExecutorTest, NestedLoopAndMergeJoinRunnersAgree) {
     BufferPool setup_pool(8);
     ASSERT_OK_AND_ASSIGN(
         auto r_file,
-        WriteRelationToFile(dataset.r, TempPath("ex_r"), &setup_pool, 128));
+        WriteRelationToFile(dataset.r, ScratchDir("ex_r"), &setup_pool, 128));
     ASSERT_OK_AND_ASSIGN(
         auto s_file,
-        WriteRelationToFile(dataset.s, TempPath("ex_s"), &setup_pool, 128));
+        WriteRelationToFile(dataset.s, ScratchDir("ex_s"), &setup_pool, 128));
 
     TypeJQuerySpec query;
     ASSERT_OK_AND_ASSIGN(
@@ -279,7 +279,7 @@ TEST(ExecutorTest, NestedLoopAndMergeJoinRunnersAgree) {
     ASSERT_OK_AND_ASSIGN(
         RunResult merged,
         RunTypeJMergeJoin(r_file.get(), s_file.get(), query, 8,
-                          TempPath("ex_tmp"), 128));
+                          ScratchDir("ex_tmp"), 128));
 
     EXPECT_GT(nested.answer.NumTuples(), 0u);
     EXPECT_TRUE(nested.answer.EquivalentTo(merged.answer, 1e-12))
@@ -302,8 +302,8 @@ TEST(ExecutorTest, NestedLoopAndMergeJoinRunnersAgree) {
 
     r_file.reset();
     s_file.reset();
-    RemoveFileIfExists(TempPath("ex_r"));
-    RemoveFileIfExists(TempPath("ex_s"));
+    RemoveFileIfExists(ScratchDir("ex_r"));
+    RemoveFileIfExists(ScratchDir("ex_s"));
   }
 }
 

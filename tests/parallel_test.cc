@@ -32,9 +32,7 @@
 namespace fuzzydb {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/fuzzydb_parallel_" + name;
-}
+using testing_util::ScratchDir;
 
 // ---------------------------------------------------------------------
 // ThreadPool
@@ -211,7 +209,7 @@ TEST(ParallelSortTest, MatchesStdSortOracle) {
     ThreadPool pool(4);
     ParallelContext ctx{&pool, /*morsel_size=*/128};
     uint64_t comparisons = 0;
-    ParallelSort(ctx, &values, &comparisons, CountingIntLess());
+    ASSERT_TRUE(ParallelSort(ctx, &values, &comparisons, CountingIntLess()));
     EXPECT_EQ(values, expected) << "n=" << n;
     if (n > 1) {
       EXPECT_GT(comparisons, 0u);
@@ -232,13 +230,47 @@ TEST(ParallelSortTest, OrderAndCountInvariantAcrossThreadCounts) {
     ParallelContext ctx{threads > 1 ? &pool : nullptr, /*morsel_size=*/256};
     std::vector<int> values = input;
     uint64_t comparisons = 0;
-    ParallelSort(ctx, &values, &comparisons, CountingIntLess());
+    ASSERT_TRUE(ParallelSort(ctx, &values, &comparisons, CountingIntLess()));
     if (reference.empty()) {
       reference = values;
       reference_count = comparisons;
     } else {
       EXPECT_EQ(values, reference) << threads << " threads";
       EXPECT_EQ(comparisons, reference_count) << threads << " threads";
+    }
+  }
+}
+
+// A stop that lands after the run sorts (or inside the merge rounds)
+// leaves the ping-pong buffer holding default-constructed elements;
+// ParallelSort must report it so no caller reads them.
+TEST(ParallelSortTest, ReportsAStopBetweenRunSortsAndMerges) {
+  std::vector<int> input(4 * 128);
+  std::iota(input.rbegin(), input.rend(), 1);
+  for (const size_t threads : {1u, 4u}) {
+    // make_less is called once per run sort (four runs), then once per
+    // merge pair: the 4th call is the last run sort, the 5th the first
+    // merge.
+    for (const int cancel_at : {0, 4, 5}) {
+      ThreadPool pool(threads);
+      QueryContext query;
+      ParallelContext ctx{threads > 1 ? &pool : nullptr, /*morsel_size=*/128};
+      ctx.query = &query;
+      std::atomic<int> calls{0};
+      std::vector<int> values = input;
+      const bool completed =
+          ParallelSort(ctx, &values, nullptr, [&](uint64_t* count) {
+            if (++calls == cancel_at) query.Cancel();
+            return CountingIntLess()(count);
+          });
+      EXPECT_EQ(completed, cancel_at == 0)
+          << threads << " threads, cancel at " << cancel_at;
+      if (cancel_at == 4) {
+        EXPECT_EQ(calls.load(), 4) << "a merge started after the stop";
+      }
+      if (completed) {
+        EXPECT_TRUE(std::is_sorted(values.begin(), values.end()));
+      }
     }
   }
 }
@@ -426,9 +458,11 @@ TEST(ParallelPartitionedJoinTest, EmitSequenceAndStatsMatchSerial) {
 
   BufferPool pool(32);
   ASSERT_OK_AND_ASSIGN(
-      auto r_file, WriteRelationToFile(dataset.r, TempPath("pj_r"), &pool, 128));
+      auto r_file,
+      WriteRelationToFile(dataset.r, ScratchDir("pj_r"), &pool, 128));
   ASSERT_OK_AND_ASSIGN(
-      auto s_file, WriteRelationToFile(dataset.s, TempPath("pj_s"), &pool, 128));
+      auto s_file,
+      WriteRelationToFile(dataset.s, ScratchDir("pj_s"), &pool, 128));
 
   FuzzyJoinSpec spec;
   spec.outer_key = 1;
@@ -444,7 +478,7 @@ TEST(ParallelPartitionedJoinTest, EmitSequenceAndStatsMatchSerial) {
                  CpuStats* cpu) {
     return FilePartitionedJoin(
         r_file.get(), s_file.get(), &pool, spec, /*num_partitions=*/8,
-        TempPath("pj_tmp"), cpu,
+        ScratchDir("pj_tmp"), cpu,
         [&](const Tuple& r, const Tuple& s, double d) {
           out->push_back({r.ToString(), s.ToString(), d});
           return Status::OK();
@@ -469,15 +503,16 @@ TEST(ParallelPartitionedJoinTest, EmitSequenceAndStatsMatchSerial) {
 
   r_file.reset();
   s_file.reset();
-  RemoveFileIfExists(TempPath("pj_r"));
-  RemoveFileIfExists(TempPath("pj_s"));
+  RemoveFileIfExists(ScratchDir("pj_r"));
+  RemoveFileIfExists(ScratchDir("pj_s"));
 }
 
 TEST(ParallelExternalSortTest, OutputAndCountInvariantAcrossThreadCounts) {
   Relation relation = GenerateRandomRelation(55, "R", 2, 1200, 0, 500);
   BufferPool pool(8);
   ASSERT_OK_AND_ASSIGN(
-      auto input, WriteRelationToFile(relation, TempPath("es_in"), &pool, 128));
+      auto input,
+      WriteRelationToFile(relation, ScratchDir("es_in"), &pool, 128));
 
   TupleLess less = [](const Tuple& a, const Tuple& b) {
     return IntervalOrderLess(a.ValueAt(0).AsFuzzy(), b.ValueAt(0).AsFuzzy());
@@ -489,11 +524,11 @@ TEST(ParallelExternalSortTest, OutputAndCountInvariantAcrossThreadCounts) {
     ThreadPool workers(threads);
     ParallelContext ctx{threads > 1 ? &workers : nullptr, /*morsel_size=*/64};
     const std::string out_path =
-        TempPath("es_out" + std::to_string(threads));
+        ScratchDir("es_out" + std::to_string(threads));
     SortStats stats;
     ASSERT_OK_AND_ASSIGN(
         auto sorted,
-        ExternalSort(input.get(), &pool, less, TempPath("es_tmp"), out_path,
+        ExternalSort(input.get(), &pool, less, ScratchDir("es_tmp"), out_path,
                      /*buffer_pages=*/4, /*min_record_size=*/128, &stats,
                      &ctx));
     ASSERT_OK_AND_ASSIGN(
@@ -516,7 +551,7 @@ TEST(ParallelExternalSortTest, OutputAndCountInvariantAcrossThreadCounts) {
     RemoveFileIfExists(out_path);
   }
   input.reset();
-  RemoveFileIfExists(TempPath("es_in"));
+  RemoveFileIfExists(ScratchDir("es_in"));
 }
 
 }  // namespace

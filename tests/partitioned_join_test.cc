@@ -11,9 +11,7 @@
 namespace fuzzydb {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/fuzzydb_pjoin_" + name;
-}
+using testing_util::ScratchDir;
 
 using PairMap = std::map<std::pair<double, std::string>, double>;
 
@@ -37,10 +35,10 @@ TEST_P(PartitionedJoinTest, MatchesNestedLoopOracleExactly) {
                           std::to_string(num_partitions);
   ASSERT_OK_AND_ASSIGN(
       auto r_file,
-      WriteRelationToFile(dataset.r, TempPath("R" + tag), &pool, 128));
+      WriteRelationToFile(dataset.r, ScratchDir("R" + tag), &pool, 128));
   ASSERT_OK_AND_ASSIGN(
       auto s_file,
-      WriteRelationToFile(dataset.s, TempPath("S" + tag), &pool, 128));
+      WriteRelationToFile(dataset.s, ScratchDir("S" + tag), &pool, 128));
 
   FuzzyJoinSpec spec;
   spec.outer_key = 1;
@@ -78,7 +76,7 @@ TEST_P(PartitionedJoinTest, MatchesNestedLoopOracleExactly) {
   CpuStats cpu;
   ASSERT_OK(FilePartitionedJoin(
       r_file.get(), s_file.get(), &pool, spec, num_partitions,
-      TempPath("tmp" + tag), &cpu,
+      ScratchDir("tmp" + tag), &cpu,
       [&](const Tuple& r, const Tuple& s, double d) {
         ++emissions;
         auto [it, fresh] = actual.emplace(key_of(r, s), d);
@@ -100,8 +98,8 @@ TEST_P(PartitionedJoinTest, MatchesNestedLoopOracleExactly) {
 
   r_file.reset();
   s_file.reset();
-  RemoveFileIfExists(TempPath("R" + tag));
-  RemoveFileIfExists(TempPath("S" + tag));
+  RemoveFileIfExists(ScratchDir("R" + tag));
+  RemoveFileIfExists(ScratchDir("S" + tag));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -113,16 +111,16 @@ TEST(PartitionedJoinEdgeTest, EmptyRelations) {
   BufferPool pool(8);
   Relation empty("E", Schema{Column{"Z", ValueType::kFuzzy},
                              Column{"V", ValueType::kFuzzy}});
-  ASSERT_OK_AND_ASSIGN(auto r_file,
-                       WriteRelationToFile(empty, TempPath("empty_r"), &pool));
-  ASSERT_OK_AND_ASSIGN(auto s_file,
-                       WriteRelationToFile(empty, TempPath("empty_s"), &pool));
+  ASSERT_OK_AND_ASSIGN(
+      auto r_file, WriteRelationToFile(empty, ScratchDir("empty_r"), &pool));
+  ASSERT_OK_AND_ASSIGN(
+      auto s_file, WriteRelationToFile(empty, ScratchDir("empty_s"), &pool));
   FuzzyJoinSpec spec;
   spec.outer_key = 0;
   spec.inner_key = 0;
   uint64_t emissions = 0;
   ASSERT_OK(FilePartitionedJoin(r_file.get(), s_file.get(), &pool, spec, 8,
-                                TempPath("empty_tmp"), nullptr,
+                                ScratchDir("empty_tmp"), nullptr,
                                 [&](const Tuple&, const Tuple&, double) {
                                   ++emissions;
                                   return Status::OK();
@@ -130,8 +128,8 @@ TEST(PartitionedJoinEdgeTest, EmptyRelations) {
   EXPECT_EQ(emissions, 0u);
   r_file.reset();
   s_file.reset();
-  RemoveFileIfExists(TempPath("empty_r"));
-  RemoveFileIfExists(TempPath("empty_s"));
+  RemoveFileIfExists(ScratchDir("empty_r"));
+  RemoveFileIfExists(ScratchDir("empty_s"));
 }
 
 TEST(PartitionedJoinEdgeTest, RejectsNonEquijoin) {
@@ -139,15 +137,15 @@ TEST(PartitionedJoinEdgeTest, RejectsNonEquijoin) {
   Relation rel("R", Schema{Column{"Z", ValueType::kFuzzy}});
   ASSERT_OK(rel.Append(Tuple({Value::Number(1)}, 1.0)));
   ASSERT_OK_AND_ASSIGN(auto file,
-                       WriteRelationToFile(rel, TempPath("ne"), &pool));
+                       WriteRelationToFile(rel, ScratchDir("ne"), &pool));
   FuzzyJoinSpec spec;
   spec.key_op = CompareOp::kLe;
   const Status status = FilePartitionedJoin(
-      file.get(), file.get(), &pool, spec, 4, TempPath("ne_tmp"), nullptr,
+      file.get(), file.get(), &pool, spec, 4, ScratchDir("ne_tmp"), nullptr,
       [](const Tuple&, const Tuple&, double) { return Status::OK(); });
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   file.reset();
-  RemoveFileIfExists(TempPath("ne"));
+  RemoveFileIfExists(ScratchDir("ne"));
 }
 
 TEST(PartitionedJoinEdgeTest, WideOuterValuesReplicateButStayCorrect) {
@@ -163,9 +161,9 @@ TEST(PartitionedJoinEdgeTest, WideOuterValuesReplicateButStayCorrect) {
     ASSERT_OK(s.Append(Tuple({Value::Number(i)}, 1.0)));
   }
   ASSERT_OK_AND_ASSIGN(auto r_file,
-                       WriteRelationToFile(r, TempPath("wide_r"), &pool));
+                       WriteRelationToFile(r, ScratchDir("wide_r"), &pool));
   ASSERT_OK_AND_ASSIGN(auto s_file,
-                       WriteRelationToFile(s, TempPath("wide_s"), &pool));
+                       WriteRelationToFile(s, ScratchDir("wide_s"), &pool));
 
   FuzzyJoinSpec spec;
   spec.outer_key = 1;
@@ -173,7 +171,7 @@ TEST(PartitionedJoinEdgeTest, WideOuterValuesReplicateButStayCorrect) {
   uint64_t pairs = 0;
   PartitionedJoinStats stats;
   ASSERT_OK(FilePartitionedJoin(r_file.get(), s_file.get(), &pool, spec, 8,
-                                TempPath("wide_tmp"), nullptr,
+                                ScratchDir("wide_tmp"), nullptr,
                                 [&](const Tuple&, const Tuple&, double d) {
                                   EXPECT_GT(d, 0.0);
                                   ++pairs;
@@ -186,8 +184,8 @@ TEST(PartitionedJoinEdgeTest, WideOuterValuesReplicateButStayCorrect) {
   EXPECT_GT(stats.outer_replicas, 2u);  // the wide tuple was replicated
   r_file.reset();
   s_file.reset();
-  RemoveFileIfExists(TempPath("wide_r"));
-  RemoveFileIfExists(TempPath("wide_s"));
+  RemoveFileIfExists(ScratchDir("wide_r"));
+  RemoveFileIfExists(ScratchDir("wide_s"));
 }
 
 }  // namespace

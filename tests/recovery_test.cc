@@ -20,12 +20,7 @@
 namespace fuzzydb {
 namespace {
 
-std::string TempDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/fuzzydb_recovery_" + name;
-  const std::string cmd = "rm -rf '" + dir + "'";
-  EXPECT_EQ(std::system(cmd.c_str()), 0);
-  return dir;
-}
+using testing_util::ScratchDir;
 
 /// Feeds one statement, returning whether the shell acknowledged it.
 bool Feed(Shell* shell, const std::string& line) {
@@ -82,7 +77,7 @@ TEST(RecoveryTest, CrashMatrixMatchesUncrashedControlAtEveryThreadCount) {
   };
   for (const auto& test_case : kCases) {
     SCOPED_TRACE(test_case.point);
-    const std::string dir = TempDir(test_case.dir_name);
+    const std::string dir = ScratchDir(test_case.dir_name);
     wal::WalOptions options;
     options.fsync = wal::FsyncMode::kAlways;
     options.segment_bytes = 512;  // force rotations inside the batch
@@ -133,7 +128,7 @@ TEST(RecoveryTest, CrashMatrixMatchesUncrashedControlAtEveryThreadCount) {
 }
 
 TEST(RecoveryTest, FailedCheckpointKeepsEveryAcknowledgedStatement) {
-  const std::string dir = TempDir("ckpt_crash");
+  const std::string dir = ScratchDir("ckpt_crash");
   wal::WalOptions options;
   options.fsync = wal::FsyncMode::kAlways;
   {
@@ -179,7 +174,7 @@ TEST(RecoveryTest, FailedCheckpointKeepsEveryAcknowledgedStatement) {
 }
 
 TEST(RecoveryTest, TornTailIsTruncatedAndDataSurvives) {
-  const std::string dir = TempDir("torn");
+  const std::string dir = ScratchDir("torn");
   wal::WalOptions options;
   options.fsync = wal::FsyncMode::kAlways;
   {
@@ -226,7 +221,7 @@ TEST(RecoveryTest, TornTailIsTruncatedAndDataSurvives) {
 }
 
 TEST(RecoveryTest, SweepsCheckpointDebrisOnRestart) {
-  const std::string dir = TempDir("sweep");
+  const std::string dir = ScratchDir("sweep");
   wal::WalOptions options;
   options.fsync = wal::FsyncMode::kOff;
   {
@@ -259,7 +254,7 @@ TEST(RecoveryTest, SweepsCheckpointDebrisOnRestart) {
 }
 
 TEST(RecoveryTest, SysWalIsQueryableAndSaveIsRefusedUnderWal) {
-  const std::string dir = TempDir("syswal");
+  const std::string dir = ScratchDir("syswal");
   wal::WalOptions options;
   options.fsync = wal::FsyncMode::kOff;
   Shell shell;

@@ -91,8 +91,81 @@ TEST(WireTest, RejectsMalformedFrames) {
   }
 }
 
+// Every query type's reply line, byte for byte as the wire carried it
+// when sessions rendered answers cell by cell (timings zeroed): encoding
+// straight from the answer relation must not change a byte, and a
+// decoded frame must re-encode to the same line.
+TEST(WireTest, ReplyLinesPerQueryTypeAreByteStable) {
+  SessionDefaults defaults;
+  defaults.threads = 1;
+  Session session(1, defaults, 0);
+  for (const char* line : {
+           ".gen typej 7 12 12 3",
+           ".gen rand T3 8 2 16",
+           "CREATE TABLE q (s STRING, v FUZZY);",
+           "INSERT INTO q VALUES ('a\"b\\c', ABOUT(2.5, 1));",
+           "INSERT INTO q VALUES ('tab\tx', 0.125);"}) {
+    ASSERT_EQ(session.Execute(line).status, "OK") << line;
+  }
+  struct Case {
+    const char* type;
+    const char* sql;
+    const char* reply;
+  };
+  const Case cases[] = {
+      {"N",
+       "SELECT R.X FROM R WHERE R.Y IN (SELECT S.Z FROM S WHERE S.Z < 40);",
+       R"json({"session":1,"seq":6,"status":"OK","error":"","text":"(anonymous) (X FUZZY) [9 tuples]\n  [0 | D=1]\n  [1 | D=1]\n  [2 | D=0.8972]\n  [5 | D=1]\n  [6 | D=1]\n  [8 | D=1]\n  [9 | D=1]\n  [10 | D=1]\n  [11 | D=1]\n","elapsed_ms":0,"queue_wait_ms":0,"columns":["X"],"rows":[["0"],["1"],["2"],["5"],["6"],["8"],["9"],["10"],["11"]],"degrees":[1,1,0.8972248924145154,1,1,1,1,1,1]})json"},
+      {"J",
+       "SELECT R.X FROM R WHERE R.Y IN (SELECT S.Z FROM S WHERE S.V = R.U);",
+       R"json({"session":1,"seq":7,"status":"OK","error":"","text":"(anonymous) (X FUZZY) [12 tuples]\n  [0 | D=1]\n  [1 | D=1]\n  [2 | D=0.8972]\n  [3 | D=1]\n  [4 | D=1]\n  [5 | D=1]\n  [6 | D=1]\n  [7 | D=0.7296]\n  [8 | D=1]\n  [9 | D=1]\n  [10 | D=1]\n  [11 | D=1]\n","elapsed_ms":0,"queue_wait_ms":0,"columns":["X"],"rows":[["0"],["1"],["2"],["3"],["4"],["5"],["6"],["7"],["8"],["9"],["10"],["11"]],"degrees":[1,1,0.8972248924145154,1,1,1,1,0.729630163662647,1,1,1,1]})json"},
+      {"JX",
+       "SELECT R.X FROM R WHERE R.Y NOT IN "
+       "(SELECT S.Z FROM S WHERE S.V = R.U);",
+       R"json({"session":1,"seq":8,"status":"OK","error":"","text":"(anonymous) (X FUZZY) [2 tuples]\n  [2 | D=0.1028]\n  [7 | D=0.2704]\n","elapsed_ms":0,"queue_wait_ms":0,"columns":["X"],"rows":[["2"],["7"]],"degrees":[0.10277510758548458,0.270369836337353]})json"},
+      {"JA",
+       "SELECT R.X FROM R WHERE R.Y <= "
+       "(SELECT MAX(S.Z) FROM S WHERE S.V = R.U) WITH D >= 0.5;",
+       R"json({"session":1,"seq":9,"status":"OK","error":"","text":"(anonymous) (X FUZZY) [11 tuples]\n  [0 | D=1]\n  [1 | D=1]\n  [2 | D=0.5844]\n  [3 | D=1]\n  [4 | D=0.7551]\n  [5 | D=1]\n  [6 | D=1]\n  [8 | D=1]\n  [9 | D=0.7149]\n  [10 | D=1]\n  [11 | D=1]\n","elapsed_ms":0,"queue_wait_ms":0,"columns":["X"],"rows":[["0"],["1"],["2"],["3"],["4"],["5"],["6"],["8"],["9"],["10"],["11"]],"degrees":[1,1,0.5843731077122799,1,0.75506634242792,1,1,1,0.7148526601040056,1,1]})json"},
+      {"JALL",
+       "SELECT R.X FROM R WHERE R.Y <= ALL "
+       "(SELECT S.Z FROM S WHERE S.V = R.U) WITH D >= 0.5;",
+       R"json({"session":1,"seq":10,"status":"OK","error":"","text":"(anonymous) (X FUZZY) [11 tuples]\n  [0 | D=0.5909]\n  [1 | D=0.5812]\n  [2 | D=0.5828]\n  [3 | D=1]\n  [4 | D=0.7551]\n  [5 | D=0.9225]\n  [6 | D=0.5812]\n  [8 | D=0.5812]\n  [9 | D=0.7149]\n  [10 | D=1]\n  [11 | D=0.5909]\n","elapsed_ms":0,"queue_wait_ms":0,"columns":["X"],"rows":[["0"],["1"],["2"],["3"],["4"],["5"],["6"],["8"],["9"],["10"],["11"]],"degrees":[0.5909162038531734,0.581160798092781,0.5828028339021728,1,0.75506634242792,0.9224903168098966,0.581160798092781,0.581160798092781,0.7148526601040056,1,0.5909162038531734]})json"},
+      {"chain",
+       "SELECT R.X, R.Y FROM R WHERE R.Y IN (SELECT S.Z FROM S WHERE "
+       "S.V = R.U AND S.Z IN (SELECT T3.C0 FROM T3 WHERE T3.C1 = S.V));",
+       R"json({"session":1,"seq":11,"status":"OK","error":"","text":"(anonymous) (X FUZZY, Y FUZZY) [1 tuples]\n  [9, trap(14.2559,16.6957,17.0111,17.8207) | D=0.7131]\n","elapsed_ms":0,"queue_wait_ms":0,"columns":["X","Y"],"rows":[["9","trap(14.2559,16.6957,17.0111,17.8207)"]],"degrees":[0.7130910526631731]})json"},
+      {"ALL",
+       "SELECT R.U, R.Y FROM R WHERE R.Y < ALL "
+       "(SELECT S.Z FROM S WHERE S.V < 16);",
+       R"json({"session":1,"seq":12,"status":"OK","error":"","text":"(anonymous) (U FUZZY, Y FUZZY) [1 tuples]\n  [0, trap(-1.15182,0.819212,1.37699,1.54137) | D=0.5828]\n","elapsed_ms":0,"queue_wait_ms":0,"columns":["U","Y"],"rows":[["0","trap(-1.15182,0.819212,1.37699,1.54137)"]],"degrees":[0.5828028339021728]})json"},
+      {"strings",
+       "SELECT s, v FROM q WITH D >= 0;",
+       R"json({"session":1,"seq":13,"status":"OK","error":"","text":"(anonymous) (s STRING, v FUZZY) [2 tuples]\n  ['a\"b\\c', trap(1.5,2.5,2.5,3.5) | D=1]\n  ['tab\tx', 0.125 | D=1]\n","elapsed_ms":0,"queue_wait_ms":0,"columns":["s","v"],"rows":[["'a\"b\\c'","trap(1.5,2.5,2.5,3.5)"],["'tab\tx'","0.125"]],"degrees":[1,1]})json"},
+  };
+  for (const Case& c : cases) {
+    ReplyFrame frame = session.Execute(c.sql);
+    frame.elapsed_ms = 0;
+    const std::string line = RenderReplyFrame(frame);
+    EXPECT_EQ(line, c.reply) << c.type;
+    ReplyFrame decoded;
+    ASSERT_TRUE(ParseReplyFrame(line, &decoded)) << c.type;
+    ASSERT_TRUE(decoded.has_answer) << c.type;
+    EXPECT_EQ(decoded.rows.size(), decoded.degrees.size()) << c.type;
+    EXPECT_EQ(RenderReplyFrame(decoded), line) << c.type;
+  }
+}
+
 // ---------------------------------------------------------------------
 // Sessions
+
+// A Session's frame as a client decodes it off the wire: the answer's
+// columns/rows/degrees exist only in decoded form.
+ReplyFrame Decoded(const ReplyFrame& frame) {
+  ReplyFrame decoded;
+  EXPECT_TRUE(ParseReplyFrame(RenderReplyFrame(frame), &decoded));
+  return decoded;
+}
 
 TEST(SessionTest, ExecutesStatementsAndCapturesAnswers) {
   Session session(5, SessionDefaults{}, /*fair_share_budget=*/0);
@@ -112,8 +185,8 @@ TEST(SessionTest, ExecutesStatementsAndCapturesAnswers) {
           .status,
       "OK");
 
-  frame = session.Execute(
-      "SELECT name FROM emp WHERE sal > ABOUT(150, 5) WITH D >= 0.3;");
+  frame = Decoded(session.Execute(
+      "SELECT name FROM emp WHERE sal > ABOUT(150, 5) WITH D >= 0.3;"));
   EXPECT_EQ(frame.status, "OK");
   EXPECT_EQ(frame.seq, 4u);
   ASSERT_TRUE(frame.has_answer);
@@ -170,8 +243,8 @@ TEST(SessionTest, SessionsAreIsolated) {
   // Same name in another session: no clash, separate catalogs.
   EXPECT_EQ(b.Execute("CREATE TABLE t (x FUZZY);").status, "OK");
   EXPECT_EQ(a.Execute("INSERT INTO t VALUES (1);").status, "OK");
-  const ReplyFrame in_a = a.Execute("SELECT x FROM t WITH D >= 0;");
-  const ReplyFrame in_b = b.Execute("SELECT x FROM t WITH D >= 0;");
+  const ReplyFrame in_a = Decoded(a.Execute("SELECT x FROM t WITH D >= 0;"));
+  const ReplyFrame in_b = Decoded(b.Execute("SELECT x FROM t WITH D >= 0;"));
   ASSERT_TRUE(in_a.has_answer);
   ASSERT_TRUE(in_b.has_answer);
   EXPECT_EQ(in_a.rows.size(), 1u);
@@ -320,7 +393,7 @@ std::vector<NormalizedFrame> RunWorkload(size_t threads, bool cache) {
       "OK");
   std::vector<NormalizedFrame> frames;
   for (const std::string& line : MatrixWorkload()) {
-    const ReplyFrame frame = session.Execute(line);
+    const ReplyFrame frame = Decoded(session.Execute(line));
     frames.push_back(NormalizedFrame{frame.status, frame.text,
                                      frame.has_answer, frame.columns,
                                      frame.rows, frame.degrees});

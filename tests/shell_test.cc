@@ -162,7 +162,7 @@ SELECT A FROM T;
 }
 
 TEST(ShellTest, SaveAndOpen) {
-  const std::string dir = ::testing::TempDir() + "/fuzzydb_shell_db";
+  const std::string dir = testing_util::ScratchDir();
   const std::string out = RunScript(
       "CREATE TABLE T (A FUZZY);\n"
       "INSERT INTO T VALUES (42);\n"

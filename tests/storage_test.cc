@@ -11,9 +11,7 @@
 namespace fuzzydb {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/fuzzydb_storage_" + name;
-}
+using testing_util::ScratchDir;
 
 // ------------------------------ Page ---------------------------------
 
@@ -97,7 +95,7 @@ TEST(SerializerTest, RejectsTruncatedInput) {
 // --------------------------- BufferPool -------------------------------
 
 TEST(BufferPoolTest, CountsReadsHitsAndEvictions) {
-  const std::string path = TempPath("pool");
+  const std::string path = ScratchDir("pool");
   ASSERT_OK_AND_ASSIGN(auto file, PageFile::Create(path));
   Page page;
   for (int i = 0; i < 4; ++i) {
@@ -122,7 +120,7 @@ TEST(BufferPoolTest, CountsReadsHitsAndEvictions) {
 }
 
 TEST(BufferPoolTest, WriteThroughUpdatesCachedCopy) {
-  const std::string path = TempPath("wt");
+  const std::string path = ScratchDir("wt");
   ASSERT_OK_AND_ASSIGN(auto file, PageFile::Create(path));
   Page page;
   const uint8_t rec[] = {42};
@@ -148,7 +146,7 @@ TEST(BufferPoolTest, WriteThroughUpdatesCachedCopy) {
 // ---------------------------- HeapFile --------------------------------
 
 TEST(HeapFileTest, WriteScanRoundTrip) {
-  const std::string path = TempPath("heap");
+  const std::string path = ScratchDir("heap");
   Relation relation("R", Schema{Column{"A", ValueType::kFuzzy},
                                 Column{"B", ValueType::kString}});
   for (int i = 0; i < 1000; ++i) {
@@ -177,7 +175,7 @@ TEST(HeapFileTest, WriteScanRoundTrip) {
 }
 
 TEST(HeapFileTest, PaddingControlsPageCount) {
-  const std::string small = TempPath("small"), large = TempPath("large");
+  const std::string small = ScratchDir("small"), large = ScratchDir("large");
   Relation relation("R", Schema{Column{"A", ValueType::kFuzzy}});
   for (int i = 0; i < 256; ++i) {
     ASSERT_OK(relation.Append(Tuple({Value::Number(i)}, 1.0)));
@@ -196,7 +194,7 @@ TEST(HeapFileTest, PaddingControlsPageCount) {
 }
 
 TEST(HeapFileTest, ScannerSeekToPage) {
-  const std::string path = TempPath("seek");
+  const std::string path = ScratchDir("seek");
   Relation relation("R", Schema{Column{"A", ValueType::kFuzzy}});
   for (int i = 0; i < 100; ++i) {
     ASSERT_OK(relation.Append(Tuple({Value::Number(i)}, 1.0)));

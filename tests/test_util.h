@@ -3,8 +3,10 @@
 #define FUZZYDB_TESTS_TEST_UTIL_H_
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -186,6 +188,28 @@ inline Catalog MakePaperCatalog() {
                            1.0)));
   EXPECT_OK(catalog.AddRelation(std::move(m)));
   return catalog;
+}
+
+/// A path no other test uses, with nothing at it yet: for a test's
+/// scratch file or directory. The name joins the running test's full
+/// name, `name` (to tell apart several paths of one test) and the
+/// process id, so tests run side by side (ctest -j runs every test in a
+/// process of its own) or repeatedly never share or delete each other's
+/// files.
+inline std::string ScratchDir(const std::string& name = "") {
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string key = test == nullptr ? "global"
+                                    : std::string(test->test_suite_name()) +
+                                          "." + test->name();
+  if (!name.empty()) key += "." + name;
+  std::replace(key.begin(), key.end(), '/', '_');
+  const std::filesystem::path path =
+      std::filesystem::path(::testing::TempDir()) /
+      ("fuzzydb_" + key + "_" + std::to_string(::getpid()));
+  std::error_code ignored;
+  std::filesystem::remove_all(path, ignored);
+  return path.string();
 }
 
 }  // namespace testing_util

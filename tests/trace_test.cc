@@ -19,9 +19,7 @@
 namespace fuzzydb {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/fuzzydb_trace_" + name;
-}
+using testing_util::ScratchDir;
 
 // ---------------------------------------------------------------------
 // Span tree mechanics
@@ -339,16 +337,16 @@ TEST(TraceFileExecutorTest, MergeJoinTraceBalancesCpuAndIo) {
   BufferPool setup_pool(16);
   ASSERT_OK_AND_ASSIGN(
       auto r_file,
-      WriteRelationToFile(dataset.r, TempPath("mj_r"), &setup_pool, 128));
+      WriteRelationToFile(dataset.r, ScratchDir("mj_r"), &setup_pool, 128));
   ASSERT_OK_AND_ASSIGN(
       auto s_file,
-      WriteRelationToFile(dataset.s, TempPath("mj_s"), &setup_pool, 128));
+      WriteRelationToFile(dataset.s, ScratchDir("mj_s"), &setup_pool, 128));
 
   TypeJQuerySpec spec;
   ASSERT_OK_AND_ASSIGN(
       RunResult untraced,
-      RunTypeJMergeJoin(r_file.get(), s_file.get(), spec, 8, TempPath("mj_tmp"),
-                        128));
+      RunTypeJMergeJoin(r_file.get(), s_file.get(), spec, 8,
+                        ScratchDir("mj_tmp"), 128));
 
   ExecTrace trace;
   ExecOptions options;
@@ -356,8 +354,8 @@ TEST(TraceFileExecutorTest, MergeJoinTraceBalancesCpuAndIo) {
   options.trace = &trace;
   ASSERT_OK_AND_ASSIGN(
       RunResult traced,
-      RunTypeJMergeJoin(r_file.get(), s_file.get(), spec, 8, TempPath("mj_tmp"),
-                        128, &options));
+      RunTypeJMergeJoin(r_file.get(), s_file.get(), spec, 8,
+                        ScratchDir("mj_tmp"), 128, &options));
 
   // Tracing perturbs nothing: answer and both stat ledgers identical.
   EXPECT_TRUE(untraced.answer.EquivalentTo(traced.answer, 0.0));
@@ -383,8 +381,8 @@ TEST(TraceFileExecutorTest, MergeJoinTraceBalancesCpuAndIo) {
 
   r_file.reset();
   s_file.reset();
-  RemoveFileIfExists(TempPath("mj_r"));
-  RemoveFileIfExists(TempPath("mj_s"));
+  RemoveFileIfExists(ScratchDir("mj_r"));
+  RemoveFileIfExists(ScratchDir("mj_s"));
 }
 
 }  // namespace

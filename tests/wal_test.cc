@@ -18,12 +18,7 @@ namespace {
 using wal::WalRecord;
 using wal::WalRecordType;
 
-std::string TempDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/fuzzydb_wal_" + name;
-  const std::string cmd = "rm -rf '" + dir + "'";
-  EXPECT_EQ(std::system(cmd.c_str()), 0);
-  return dir;
-}
+using testing_util::ScratchDir;
 
 WalRecord CreateRecord(const std::string& table) {
   WalRecord record;
@@ -163,7 +158,7 @@ TEST(WalManagerTest, ParsesFsyncModes) {
 // ---------------------------- segment manager --------------------------
 
 TEST(WalManagerTest, AppendsStampMonotonicLsnsAcrossReopen) {
-  const std::string dir = TempDir("reopen");
+  const std::string dir = ScratchDir("reopen");
   wal::WalOptions options;
   options.fsync = wal::FsyncMode::kOff;
   {
@@ -192,7 +187,7 @@ TEST(WalManagerTest, AppendsStampMonotonicLsnsAcrossReopen) {
 }
 
 TEST(WalManagerTest, RotatesAtTheConfiguredSegmentSize) {
-  const std::string dir = TempDir("rotate");
+  const std::string dir = ScratchDir("rotate");
   wal::WalOptions options;
   options.fsync = wal::FsyncMode::kOff;
   options.segment_bytes = 256;  // a few records per segment
@@ -209,7 +204,7 @@ TEST(WalManagerTest, RotatesAtTheConfiguredSegmentSize) {
 }
 
 TEST(WalManagerTest, BatchModeSyncsEveryNthAppend) {
-  const std::string dir = TempDir("batch");
+  const std::string dir = ScratchDir("batch");
   wal::WalOptions options;
   options.fsync = wal::FsyncMode::kBatch;
   options.batch_records = 4;
@@ -231,7 +226,7 @@ TEST(WalManagerTest, BatchModeSyncsEveryNthAppend) {
 }
 
 TEST(WalManagerTest, FailedAppendLeavesNoTrace) {
-  const std::string dir = TempDir("scrub");
+  const std::string dir = ScratchDir("scrub");
   wal::WalOptions options;
   options.fsync = wal::FsyncMode::kAlways;
   ASSERT_OK_AND_ASSIGN(auto manager,
@@ -268,7 +263,7 @@ TEST(WalManagerTest, FailedAppendLeavesNoTrace) {
 // ------------------------------ checkpoint -----------------------------
 
 TEST(WalManagerTest, CheckpointPrunesSegmentsAndOldImages) {
-  const std::string dir = TempDir("ckpt");
+  const std::string dir = ScratchDir("ckpt");
   wal::WalOptions options;
   options.fsync = wal::FsyncMode::kOff;
   options.segment_bytes = 256;
@@ -317,7 +312,7 @@ TEST(WalManagerTest, CheckpointPrunesSegmentsAndOldImages) {
 }
 
 TEST(WalManagerTest, CheckpointFailPointLeavesPreviousCheckpointLive) {
-  const std::string dir = TempDir("ckptfail");
+  const std::string dir = ScratchDir("ckptfail");
   wal::WalOptions options;
   options.fsync = wal::FsyncMode::kOff;
   ASSERT_OK_AND_ASSIGN(auto manager,
@@ -344,7 +339,7 @@ TEST(WalManagerTest, CheckpointFailPointLeavesPreviousCheckpointLive) {
 }
 
 TEST(WalManagerTest, SysWalRelationListsSegments) {
-  const std::string dir = TempDir("syswal");
+  const std::string dir = ScratchDir("syswal");
   wal::WalOptions options;
   options.fsync = wal::FsyncMode::kOff;
   options.segment_bytes = 256;
