@@ -8,9 +8,8 @@
 //
 // Chain steps (Section 8): CostChainMergeStep / CostChainNestedStep cost
 // one in-memory extension of a partial chain-join result, and
-// ChooseChainStepAlgorithm picks the cheaper -- replacing the fixed
-// "merge iff both key columns fuzzy" rule when ExecOptions::cost_based
-// is set.
+// ChooseChainStepAlgorithm picks the cheaper of the legal ones (merge
+// needs fuzzy key columns on both sides).
 //
 // Everything here is a pure function of its inputs, so planning is
 // deterministic and thread-count invariant.

@@ -60,16 +60,6 @@ struct ExecOptions {
   /// one morsel/page of work. Null (the default) means ungoverned.
   QueryContext* context = nullptr;  // not owned
 
-  /// Cost-based physical planning (see engine/cost_model.h and
-  /// stats/column_stats.h). When set, chain join orders and per-step
-  /// join algorithms come from column statistics fed through the cost
-  /// model, and traced spans carry est_rows for the estimator-accuracy
-  /// gate. When false (shell --no-cbo) the legacy behavior is
-  /// reproduced exactly: sampled link selectivities and the fixed
-  /// "merge iff both keys fuzzy" rule. Answers are bit-identical either
-  /// way -- the knob trades planning signal, never semantics.
-  bool cost_based = true;
-
   /// Cross-query cache (see cache/cache_manager.h). Null or a cache with
   /// capacity 0 disables caching: every operator behaves exactly as if
   /// this layer did not exist, metrics included. The cache is consulted

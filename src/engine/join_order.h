@@ -9,14 +9,13 @@
 // path. Left-deep orders that avoid cross products are exactly the
 // *contiguous extension* orders: start at some level, then repeatedly
 // extend the joined interval one level to the left or right. This module
-//
-//   1. estimates each link's selectivity by sampling tuple pairs, and
-//   2. runs an interval dynamic program minimizing the summed sizes of
-//      the intermediate relations,
-//
-// returning the sequence of levels to join. Any order yields the same
-// fuzzy answer (min is commutative/associative and dedup is max); only
-// the intermediate sizes differ.
+// runs an interval dynamic program over the levels' filtered
+// cardinalities and link selectivities -- both estimated by the caller
+// from column statistics (stats/column_stats.h) -- minimizing the summed
+// sizes of the intermediate relations, and returns the sequence of
+// levels to join. Any order yields the same fuzzy answer (min is
+// commutative/associative and dedup is max); only the intermediate sizes
+// differ.
 #ifndef FUZZYDB_ENGINE_JOIN_ORDER_H_
 #define FUZZYDB_ENGINE_JOIN_ORDER_H_
 

@@ -83,24 +83,17 @@ void ProbePartition(const std::vector<Tuple>& outer_tuples,
                     const std::vector<Tuple>& inner_tuples,
                     const FuzzyJoinSpec& spec, CpuStats* cpu,
                     std::vector<MatchRef>* matches) {
-  size_t window_start = 0;
+  std::vector<SupportBounds> inner_bounds(inner_tuples.size());
+  for (size_t i = 0; i < inner_tuples.size(); ++i) {
+    inner_bounds[i] =
+        SupportBounds::Of(inner_tuples[i].ValueAt(spec.inner_key).AsFuzzy());
+  }
+  RngCursor cursor(inner_bounds, cpu == nullptr ? nullptr : &cpu->comparisons);
   for (size_t r = 0; r < outer_tuples.size(); ++r) {
-    const Trapezoid& rk = outer_tuples[r].ValueAt(spec.outer_key).AsFuzzy();
-    while (window_start < inner_tuples.size()) {
-      const Trapezoid& sk =
-          inner_tuples[window_start].ValueAt(spec.inner_key).AsFuzzy();
-      if (cpu != nullptr) ++cpu->comparisons;
-      if (sk.SupportEnd() < rk.SupportBegin()) {
-        ++window_start;
-      } else {
-        break;
-      }
-    }
-    for (size_t i = window_start; i < inner_tuples.size(); ++i) {
-      const Trapezoid& sk = inner_tuples[i].ValueAt(spec.inner_key).AsFuzzy();
-      if (cpu != nullptr) ++cpu->comparisons;
-      if (sk.SupportBegin() > rk.SupportEnd()) break;
-      if (cpu != nullptr) ++cpu->tuple_pairs;
+    const RngWindow window = cursor.Next(
+        SupportBounds::Of(outer_tuples[r].ValueAt(spec.outer_key).AsFuzzy()));
+    if (cpu != nullptr) cpu->tuple_pairs += window.hi - window.lo;
+    for (size_t i = window.lo; i < window.hi; ++i) {
       const double d = PairDegree(outer_tuples[r], inner_tuples[i], spec, cpu);
       if (d > 0.0) matches->push_back(MatchRef{r, i, d});
     }

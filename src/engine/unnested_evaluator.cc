@@ -285,14 +285,13 @@ void FilterChunkBatched(const std::vector<BatchPredPlan>& plans,
 }
 
 // ---------------------------------------------------------------------
-// Cost-based planning hooks (ExecOptions::cost_based).
+// Cost-based planning hooks.
 //
 // Estimates come from the support-corner summaries of
 // stats/column_stats.h; algorithm decisions from engine/cost_model.h.
 // Every input is a thread-count-invariant filtered vector and every
 // estimator is a pure function, so planning decisions -- and therefore
-// results -- are identical for every thread count, and identical to the
-// fixed-rule plans in answer bits (only intermediate work differs).
+// results -- are identical for every thread count.
 // ---------------------------------------------------------------------
 
 /// Builds the summary of fuzzy column `col` over a filtered vector.
@@ -413,7 +412,7 @@ std::vector<FT> FilterBlock(const BoundQuery& block,
       span.SetDetail(block.tables[0].relation->name() + " (cached)");
       span.SetInputRows(n);
       span.SetOutputRows(out.size());
-      if (span.enabled() && ctx.cost_based) {
+      if (span.enabled()) {
         const uint64_t est = EstimateFilterRows(block, n);
         span.SetEstimatedRows(est);
         RecordQError(est, out.size());
@@ -485,12 +484,14 @@ std::vector<FT> FilterBlock(const BoundQuery& block,
   }
   span.SetInputRows(n);
   span.SetOutputRows(out.size());
-  if (span.enabled() && ctx.cost_based) {
+  if (span.enabled()) {
     const uint64_t est = EstimateFilterRows(block, n);
     span.SetEstimatedRows(est);
     RecordQError(est, out.size());
   }
-  if (!cache_key.empty()) {
+  // A governed stop cut the scan short: the survivors are partial and
+  // must not answer a later query (the caller surfaces the stop).
+  if (!cache_key.empty() && !QueryStopRequested(ctx.query)) {
     auto payload = std::make_shared<CacheManager::FilteredBlock>();
     payload->reserve(out.size());
     const Tuple* base = tuples.data();
@@ -592,22 +593,13 @@ Status SortByIntervalOrder(std::vector<FT>* tuples, size_t col,
   return Status::OK();
 }
 
-/// The support interval of a sort-key value, hoisted out of the merge
-/// window's inner loop: the window scan examines every pair, and
-/// re-deriving ValueAt(col).AsFuzzy() bounds per pair dominated its cost.
-struct SupportBounds {
-  double begin = 0.0;
-  double end = 0.0;
-};
-
-/// Precomputes the (SupportBegin, SupportEnd) array of `col`, once per
-/// join input.
+/// Hoists the support bounds of fuzzy column `col`, once per join input
+/// (see SupportBounds).
 std::vector<SupportBounds> HoistSupportBounds(const std::vector<FT>& tuples,
                                               size_t col) {
   std::vector<SupportBounds> bounds(tuples.size());
   for (size_t i = 0; i < tuples.size(); ++i) {
-    const Trapezoid& k = tuples[i].tuple->ValueAt(col).AsFuzzy();
-    bounds[i] = SupportBounds{k.SupportBegin(), k.SupportEnd()};
+    bounds[i] = SupportBounds::Of(tuples[i].tuple->ValueAt(col).AsFuzzy());
   }
   return bounds;
 }
@@ -619,12 +611,9 @@ std::vector<SupportBounds> HoistSupportBounds(const std::vector<FT>& tuples,
 /// Parallelization: the *outer* sorted input is cut into morsels; the
 /// window logic is read-only over the inner side, so morsels are
 /// independent and the enumeration is exactly degree-preserving. Each
-/// morsel replays the serial scan for its range after replaying the scan
-/// *state* at its entry: the serial window start before outer[begin] is
-/// min{i : e(inner[i]) >= b(outer[begin - 1])}, which an (uncounted)
-/// binary search finds on the monotone prefix-max of inner support ends
-/// (the raw ends are not monotone under the interval order). Counted
-/// comparisons therefore sum to the serial totals for every thread count.
+/// morsel starts its RngCursor where the serial scan stands at the
+/// morsel's entry (RngSeekStart), so counted comparisons sum to the
+/// serial totals for every thread count.
 ///
 /// `emit(worker, r, s)` may run concurrently for distinct workers; per-
 /// worker stats go to worker_cpu (null = don't count, the serial
@@ -663,12 +652,7 @@ void MergeWindow(const std::vector<FT>& outer, size_t outer_col,
       HoistSupportBounds(outer, outer_col);
   const std::vector<SupportBounds> inner_bounds =
       HoistSupportBounds(inner, inner_col);
-  std::vector<double> inner_end_max(inner_bounds.size());
-  double running = -std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < inner_bounds.size(); ++i) {
-    running = std::max(running, inner_bounds[i].end);
-    inner_end_max[i] = running;
-  }
+  const std::vector<double> inner_end_max = PrefixMaxEnds(inner_bounds);
 
   // Windowed (= emitted) pairs per worker; the post-barrier sum is
   // permutation-invariant, so the span's rows_out -- the actual
@@ -679,29 +663,16 @@ void MergeWindow(const std::vector<FT>& outer, size_t outer_col,
   ParallelFor(ctx, outer.size(), [&](size_t worker, size_t begin,
                                      size_t end) {
     CpuStats* cpu = worker_cpu == nullptr ? nullptr : &(*worker_cpu)[worker];
-    size_t window_start = 0;
-    if (begin > 0) {
-      window_start = static_cast<size_t>(
-          std::lower_bound(inner_end_max.begin(), inner_end_max.end(),
-                           outer_bounds[begin - 1].begin) -
-          inner_end_max.begin());
-    }
+    const size_t start =
+        begin == 0 ? 0
+                   : RngSeekStart(inner_end_max, outer_bounds[begin - 1].begin);
+    RngCursor cursor(inner_bounds,
+                     cpu == nullptr ? nullptr : &cpu->comparisons, start);
     for (size_t r = begin; r < end; ++r) {
-      const SupportBounds& rk = outer_bounds[r];
-      while (window_start < inner.size()) {
-        if (cpu != nullptr) ++cpu->comparisons;
-        if (inner_bounds[window_start].end < rk.begin) {
-          ++window_start;
-        } else {
-          break;
-        }
-      }
-      uint64_t window_len = 0;
-      for (size_t i = window_start; i < inner.size(); ++i) {
-        if (cpu != nullptr) ++cpu->comparisons;
-        if (inner_bounds[i].begin > rk.end) break;
-        if (cpu != nullptr) ++cpu->tuple_pairs;
-        ++window_len;
+      const RngWindow window = cursor.Next(outer_bounds[r]);
+      const uint64_t window_len = window.hi - window.lo;
+      if (cpu != nullptr) cpu->tuple_pairs += window_len;
+      for (size_t i = window.lo; i < window.hi; ++i) {
         emit(worker, outer[r], inner[i]);
       }
       if (window_hist != nullptr) window_hist->Record(window_len);
@@ -1148,7 +1119,7 @@ Result<std::vector<double>> InFamilyDegrees(const std::vector<FT>& outer,
     // fanout predicted by the key columns' support-corner summaries --
     // the statistics replacement for the paper's "known" C.
     uint64_t est_pairs = TraceNode::kNoCount;
-    if (trace != nullptr && ctx.cost_based) {
+    if (trace != nullptr) {
       const ColumnStats outer_stats = BuildKeyStats(sorted_outer, outer_key);
       const ColumnStats inner_stats = BuildKeyStats(inner, inner_key);
       est_pairs = RoundEstimate(
@@ -1318,26 +1289,16 @@ Result<std::vector<double>> AggregateFamilyDegrees(
               });
     FUZZYDB_RETURN_IF_ERROR(SortByIntervalOrder(
         &inner, v_col, ctx, cpu, trace, shape.inner->tables[0].relation));
-    size_t window_start = 0;
+    const std::vector<SupportBounds> inner_bounds =
+        HoistSupportBounds(inner, v_col);
+    RngCursor cursor(inner_bounds,
+                     cpu == nullptr ? nullptr : &cpu->comparisons);
     for (const Value& u : t1_sorted) {
       FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
-      const Trapezoid& uk = u.AsFuzzy();
-      while (window_start < inner.size()) {
-        const Trapezoid& vk =
-            inner[window_start].tuple->ValueAt(v_col).AsFuzzy();
-        if (cpu != nullptr) ++cpu->comparisons;
-        if (vk.SupportEnd() < uk.SupportBegin()) {
-          ++window_start;
-        } else {
-          break;
-        }
-      }
+      const RngWindow window = cursor.Next(SupportBounds::Of(u.AsFuzzy()));
+      if (cpu != nullptr) cpu->tuple_pairs += window.hi - window.lo;
       Relation group("", Schema{Column{"Z", ValueType::kFuzzy}});
-      for (size_t i = window_start; i < inner.size(); ++i) {
-        const Trapezoid& vk = inner[i].tuple->ValueAt(v_col).AsFuzzy();
-        if (cpu != nullptr) ++cpu->comparisons;
-        if (vk.SupportBegin() > uk.SupportEnd()) break;
-        if (cpu != nullptr) ++cpu->tuple_pairs;
+      for (size_t i = window.lo; i < window.hi; ++i) {
         const double d = std::min(
             inner[i].degree, corr_degree(u, inner[i].tuple->ValueAt(v_col)));
         if (d > 0.0) {
@@ -1470,11 +1431,11 @@ double ChainPredicateDegree(const BoundPredicate& pred, size_t block_of_pred,
 }
 
 /// K-level chain queries (Section 8): flat K-way join, with the join
-/// order chosen by the interval DP of join_order.h over sampled link
-/// selectivities (the paper's "optimal join order ... determined by a
-/// dynamic programming method").
+/// order chosen by the interval DP of join_order.h over link
+/// selectivities estimated from column statistics (the paper's "optimal
+/// join order ... determined by a dynamic programming method").
 Result<Relation> RunChain(const BoundQuery& query, const ParallelContext& ctx,
-                          CpuStats* cpu, ExecTrace* trace, bool use_planner,
+                          CpuStats* cpu, ExecTrace* trace,
                           std::vector<size_t>* chosen_order) {
   std::vector<const BoundQuery*> blocks;
   std::vector<const BoundPredicate*> links;  // links[k]: block k -> k+1
@@ -1534,80 +1495,35 @@ Result<Relation> RunChain(const BoundQuery& query, const ParallelContext& ctx,
   }
 
   // ---- Join-order planning ------------------------------------------
-  // cost_based: per-edge column summaries feed the DP's selectivities,
-  // the per-step cardinality estimates, and the merge-vs-nested cost
-  // decisions. Otherwise (--no-cbo) the legacy pair-sampling path runs
-  // unchanged. Either way any order yields the same fuzzy answer (see
-  // join_order.h); the knob trades planning signal only.
+  // Per-edge column summaries feed the DP's selectivities, the per-step
+  // cardinality estimates, and the merge-vs-nested cost decisions. Any
+  // order yields the same fuzzy answer (see join_order.h); the plan only
+  // changes the work.
   std::vector<size_t> order(k_levels);
   std::iota(order.begin(), order.end(), 0);
 
   std::vector<ColumnStats> edge_outer_stats;  // filtered[e] at its link col
   std::vector<ColumnStats> edge_inner_stats;  // filtered[e+1] at its key col
   ChainStats est_stats;
-  if (ctx.cost_based && k_levels > 1) {
-    for (size_t k = 0; k < k_levels; ++k) {
-      est_stats.cardinality.push_back(static_cast<double>(filtered[k].size()));
-    }
-    for (size_t e = 0; e + 1 < k_levels; ++e) {
-      edge_outer_stats.push_back(
-          BuildKeyStats(filtered[e], edge_outer_col(e)));
-      edge_inner_stats.push_back(
-          BuildKeyStats(filtered[e + 1], edge_inner_col(e)));
-      est_stats.selectivity.push_back(std::max(
-          1e-6,
-          EstimateJoinSelectivity(edge_outer_stats[e], edge_inner_stats[e])));
-    }
+  for (size_t k = 0; k < k_levels; ++k) {
+    est_stats.cardinality.push_back(static_cast<double>(filtered[k].size()));
+  }
+  for (size_t e = 0; e + 1 < k_levels; ++e) {
+    edge_outer_stats.push_back(BuildKeyStats(filtered[e], edge_outer_col(e)));
+    edge_inner_stats.push_back(
+        BuildKeyStats(filtered[e + 1], edge_inner_col(e)));
+    est_stats.selectivity.push_back(std::max(
+        1e-6,
+        EstimateJoinSelectivity(edge_outer_stats[e], edge_inner_stats[e])));
   }
 
-  if (use_planner && k_levels > 2 && ctx.cost_based) {
+  if (k_levels > 2) {
     TraceScope plan_span(trace, "plan-join-order", cpu, nullptr,
                          "levels=" + std::to_string(k_levels));
     order = PlanChainJoinOrder(est_stats).levels;
     if (EngineMetrics* m = EngineMetrics::IfEnabled()) {
       m->planner_plans->Add();
     }
-  } else if (use_planner && k_levels > 2) {
-    TraceScope plan_span(trace, "plan-join-order", cpu, nullptr,
-                         "levels=" + std::to_string(k_levels));
-    ChainStats stats;
-    for (size_t k = 0; k < k_levels; ++k) {
-      stats.cardinality.push_back(static_cast<double>(filtered[k].size()));
-    }
-    for (size_t e = 0; e + 1 < k_levels; ++e) {
-      // Deterministic stride sample of pairs; count positive link (and
-      // adjacent correlation) degrees.
-      const auto& left = filtered[e];
-      const auto& right = filtered[e + 1];
-      const size_t samples = 24;
-      const size_t lstep = std::max<size_t>(1, left.size() / samples);
-      const size_t rstep = std::max<size_t>(1, right.size() / samples);
-      size_t total = 0, positive = 0;
-      for (size_t i = 0; i < left.size(); i += lstep) {
-        for (size_t j = 0; j < right.size(); j += rstep) {
-          ++total;
-          double d = left[i].tuple->ValueAt(edge_outer_col(e))
-                         .Compare(CompareOp::kEq,
-                                  right[j].tuple->ValueAt(edge_inner_col(e)));
-          for (const BoundPredicate* pred : correlations[e + 1]) {
-            if (d <= 0.0) break;
-            if (pred->lhs.column.up > 1 ||
-                (pred->rhs.is_column && pred->rhs.column.up > 1)) {
-              continue;  // skip-level correlation: not estimable pairwise
-            }
-            std::vector<const Tuple*> slots(e + 2, nullptr);
-            slots[e] = left[i].tuple;
-            slots[e + 1] = right[j].tuple;
-            d = std::min(d, ChainPredicateDegree(*pred, e + 1, slots, nullptr));
-          }
-          positive += d > 0.0;
-        }
-      }
-      stats.selectivity.push_back(
-          std::max(1e-6, static_cast<double>(positive) /
-                             static_cast<double>(std::max<size_t>(1, total))));
-    }
-    order = PlanChainJoinOrder(stats).levels;
   }
   if (chosen_order != nullptr) *chosen_order = order;
 
@@ -1691,39 +1607,31 @@ Result<Relation> RunChain(const BoundQuery& query, const ParallelContext& ctx,
       return true;
     };
 
-    // Step planning. Fixed rule: merge whenever both key columns are
-    // fuzzy. Cost-based: among the legal algorithms, the cheaper one
-    // under the cost model, with the expected windowed pairs predicted
-    // from the edge's column summaries; the span gets the interval's
-    // estimated output cardinality for the q-error loop.
+    // Step planning: among the legal algorithms, the cheaper one under
+    // the cost model, with the expected windowed pairs predicted from the
+    // edge's column summaries; the span gets the interval's estimated
+    // output cardinality for the q-error loop.
+    const ColumnStats& from_stats =
+        extend_left ? edge_inner_stats[edge] : edge_outer_stats[edge];
+    const ColumnStats& to_stats =
+        extend_left ? edge_outer_stats[edge] : edge_inner_stats[edge];
+    const double est_pairs = static_cast<double>(rows.size()) *
+                             EstimateOverlapFanout(from_stats, to_stats);
     const bool merge_legal =
         rows_key_fuzzy() && ColumnIsFuzzy(incoming, new_col);
-    bool use_merge = merge_legal;
+    const bool use_merge =
+        ChooseChainStepAlgorithm(rows.size(), incoming.size(), est_pairs,
+                                 merge_legal) == JoinAlgorithm::kMergeWindow;
+    if (EngineMetrics* m = EngineMetrics::IfEnabled()) {
+      (use_merge ? m->planner_merge_steps : m->planner_nested_steps)->Add();
+    }
     uint64_t step_est = TraceNode::kNoCount;
-    if (ctx.cost_based && !edge_outer_stats.empty()) {
-      const ColumnStats& from_stats =
-          extend_left ? edge_inner_stats[edge] : edge_outer_stats[edge];
-      const ColumnStats& to_stats =
-          extend_left ? edge_outer_stats[edge] : edge_inner_stats[edge];
-      const double est_pairs =
-          static_cast<double>(rows.size()) *
-          EstimateOverlapFanout(from_stats, to_stats);
-      if (merge_legal) {
-        use_merge = ChooseChainStepAlgorithm(rows.size(), incoming.size(),
-                                             est_pairs, true) ==
-                    JoinAlgorithm::kMergeWindow;
-      }
-      if (EngineMetrics* m = EngineMetrics::IfEnabled()) {
-        (use_merge ? m->planner_merge_steps : m->planner_nested_steps)->Add();
-      }
-      if (step_span.enabled()) {
-        step_est = RoundEstimate(EstimateIntervalSize(
-            est_stats, std::min(joined_lo, level),
-            std::max(joined_hi, level)));
-        step_span.SetEstimatedRows(step_est);
-        step_span.SetDetail("level=" + std::to_string(level) +
-                            (use_merge ? " alg=merge" : " alg=nested"));
-      }
+    if (step_span.enabled()) {
+      step_est = RoundEstimate(EstimateIntervalSize(
+          est_stats, std::min(joined_lo, level), std::max(joined_hi, level)));
+      step_span.SetEstimatedRows(step_est);
+      step_span.SetDetail("level=" + std::to_string(level) +
+                          (use_merge ? " alg=merge" : " alg=nested"));
     }
 
     if (use_merge) {
@@ -1736,26 +1644,16 @@ Result<Relation> RunChain(const BoundQuery& query, const ParallelContext& ctx,
       FUZZYDB_RETURN_IF_ERROR(
           SortByIntervalOrder(&incoming, new_col, ctx, cpu, trace,
                               blocks[level]->tables[0].relation));
-      size_t window_start = 0;
+      const std::vector<SupportBounds> incoming_bounds =
+          HoistSupportBounds(incoming, new_col);
+      RngCursor cursor(incoming_bounds,
+                       cpu == nullptr ? nullptr : &cpu->comparisons);
       for (const Row& row : rows) {
         FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
-        const Trapezoid& rk =
-            row.tuples[row_level]->ValueAt(row_col).AsFuzzy();
-        while (window_start < incoming.size()) {
-          const Trapezoid& sk =
-              incoming[window_start].tuple->ValueAt(new_col).AsFuzzy();
-          if (cpu != nullptr) ++cpu->comparisons;
-          if (sk.SupportEnd() < rk.SupportBegin()) {
-            ++window_start;
-          } else {
-            break;
-          }
-        }
-        for (size_t i = window_start; i < incoming.size(); ++i) {
-          const Trapezoid& sk = incoming[i].tuple->ValueAt(new_col).AsFuzzy();
-          if (cpu != nullptr) ++cpu->comparisons;
-          if (sk.SupportBegin() > rk.SupportEnd()) break;
-          if (cpu != nullptr) ++cpu->tuple_pairs;
+        const RngWindow window = cursor.Next(SupportBounds::Of(
+            row.tuples[row_level]->ValueAt(row_col).AsFuzzy()));
+        if (cpu != nullptr) cpu->tuple_pairs += window.hi - window.lo;
+        for (size_t i = window.lo; i < window.hi; ++i) {
           FUZZYDB_RETURN_IF_ERROR(join_pair(row, incoming[i]));
         }
       }
@@ -1805,7 +1703,6 @@ ParallelContext UnnestingEvaluator::MakeContext() {
   ctx.cache = options_.cache;
   ctx.morsel_size = options_.morsel_size == 0 ? 1 : options_.morsel_size;
   ctx.batch_size = options_.batch_size;
-  ctx.cost_based = options_.cost_based;
   ctx.progress = options_.progress;
   const size_t threads = options_.ResolvedThreads();
   if (threads > 1) {
@@ -2032,7 +1929,7 @@ Result<Relation> UnnestingEvaluator::EvaluateInType(
     case QueryType::kChain:
       last_chain_order_.clear();
       return RunChain(query, MakeContext(), cpu_, options_.trace,
-                      use_join_order_planner_, &last_chain_order_);
+                      &last_chain_order_);
   }
   return Status::Internal("unhandled query type");
 }

@@ -60,10 +60,6 @@ class UnnestingEvaluator {
   /// naive fallback).
   bool last_was_unnested() const { return last_was_unnested_; }
 
-  /// Chain queries: whether to pick the join order with the sampled-
-  /// selectivity dynamic program (Section 8's suggestion; default on) or
-  /// to join levels outermost-to-innermost.
-  void set_use_join_order_planner(bool on) { use_join_order_planner_ = on; }
   /// The level order used by the last chain evaluation (empty otherwise).
   const std::vector<size_t>& last_chain_order() const {
     return last_chain_order_;
@@ -90,7 +86,6 @@ class UnnestingEvaluator {
   CpuStats* cpu_;
   ExecOptions options_;
   std::unique_ptr<ThreadPool> pool_;
-  bool use_join_order_planner_ = true;
   QueryType last_type_ = QueryType::kGeneral;
   bool last_was_unnested_ = false;
   std::vector<size_t> last_chain_order_;

@@ -1,8 +1,27 @@
 #include "fuzzy/interval_order.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "fuzzy/degree_kernels.h"
 
 namespace fuzzydb {
+
+std::vector<double> PrefixMaxEnds(const std::vector<SupportBounds>& inner) {
+  std::vector<double> end_max(inner.size());
+  double running = -std::numeric_limits<double>::infinity();
+  for (size_t i = 0; i < inner.size(); ++i) {
+    running = std::max(running, inner[i].end);
+    end_max[i] = running;
+  }
+  return end_max;
+}
+
+size_t RngSeekStart(const std::vector<double>& end_max, double prev_begin) {
+  return static_cast<size_t>(
+      std::lower_bound(end_max.begin(), end_max.end(), prev_begin) -
+      end_max.begin());
+}
 
 int CompareIntervalOrder(const Trapezoid& x, const Trapezoid& y) {
   return kernel::CompareIntervalOrderLane(x.SupportBegin(), x.SupportEnd(),

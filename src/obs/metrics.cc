@@ -409,9 +409,7 @@ EngineMetrics* EngineMetrics::Instance() {
     m->build_info = reg.GetGauge(
         std::string("fuzzydb_build_info") + "{git_sha=\"" +
         FUZZYDB_GIT_SHA + "\",compiler=\"" + CompilerLabel() +
-        "\",batch_size=\"" + std::to_string(defaults.batch_size) +
-        "\",cost_based=\"" + (defaults.cost_based ? "on" : "off") +
-        "\"}");
+        "\",batch_size=\"" + std::to_string(defaults.batch_size) + "\"}");
     m->build_info->Set(1);
     return m;
   }();

@@ -54,8 +54,7 @@ struct TraceNode {
   /// Planner-estimated output cardinality (EXPLAIN ANALYZE renders it as
   /// "est=N" next to the actual rows; the estimator-accuracy gate
   /// computes per-operator q-error from est_rows vs rows_out). kNoCount
-  /// when the operator ran without a cost-based estimate (--no-cbo, or
-  /// an operator the planner does not estimate).
+  /// when the planner does not estimate the operator.
   uint64_t est_rows = kNoCount;
   /// Batch execution (docs/architecture.md): batch-kernel invocations
   /// inside the span and the lanes they evaluated. kNoCount when the

@@ -53,13 +53,6 @@ struct ParallelContext {
   /// batch_size), independent of thread count.
   size_t batch_size = 1024;
 
-  /// ExecOptions::cost_based, threaded through so deeply nested
-  /// operators (chain steps, subquery windows) know whether to compute
-  /// statistics-based estimates and cost-picked algorithms. Planning
-  /// inputs are thread-count invariant, so this knob never changes
-  /// results -- see engine/cost_model.h.
-  bool cost_based = true;
-
   /// Live progress for SHOW QUERIES (see obs/query_registry.h): every
   /// completed morsel bumps its morsel/item counters with one relaxed
   /// add from whichever worker finished it. The counted totals are a

@@ -440,7 +440,6 @@ void Shell::ExecuteStatement(const std::string& text, std::ostream& out) {
         options.query_text = text;
         options.context = &qctx;
         options.cache = cache_enabled_ ? &CacheManager::Global() : nullptr;
-        options.cost_based = cost_based_;
         options.progress = &progress;
         ActiveQueryRegistration registration(text, &qctx, &progress,
                                              options.ResolvedThreads());
@@ -502,7 +501,6 @@ void Shell::ExecuteStatement(const std::string& text, std::ostream& out) {
         options.query_text = text;
         options.context = &qctx;
         options.cache = cache_enabled_ ? &CacheManager::Global() : nullptr;
-        options.cost_based = cost_based_;
         options.progress = &progress;
         ActiveQueryRegistration registration(text, &qctx, &progress,
                                              options.ResolvedThreads());

@@ -121,11 +121,6 @@ class Shell {
   /// and counters are identical for every setting.
   void set_batch_size(size_t lanes) { batch_size_ = lanes; }
 
-  /// Cost-based physical planning (ExecOptions::cost_based; tool flag
-  /// --no-cbo clears it). Off reproduces the legacy fixed-rule plans
-  /// exactly; answers are bit-identical either way.
-  void set_cost_based(bool on) { cost_based_ = on; }
-
   /// Worker threads for the parallel operators (ExecOptions::
   /// num_threads): 0 (the default) resolves to hardware_concurrency().
   /// Answers are bit-identical at every setting; server sessions SET
@@ -230,7 +225,6 @@ class Shell {
   uint64_t memory_budget_ = 0;
   size_t batch_size_ = 1024;
   size_t num_threads_ = 0;
-  bool cost_based_ = true;
   bool cache_enabled_ = true;
   bool explain_json_ = false;
   ShellResultSink* result_sink_ = nullptr;  // not owned

@@ -9,16 +9,20 @@
 // the locking; see README.md.
 #include "cache/cache_manager.h"
 
+#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/failpoint.h"
 #include "common/query_context.h"
+#include "common/stopwatch.h"
 #include "engine/naive_evaluator.h"
 #include "engine/unnested_evaluator.h"
 #include "sql/binder.h"
@@ -379,6 +383,58 @@ TEST(CacheFailPointTest, ClearUnlinksCachedSortedFiles) {
   cache.Clear();
   std::ifstream gone(cached_path);
   EXPECT_FALSE(gone.good()) << "Clear() must unlink cache-owned files";
+}
+
+// ---------------------------------------------------------------------
+// Governed stops: a stopped query publishes nothing partial
+// ---------------------------------------------------------------------
+
+// A cancel that lands inside the filter scan leaves partial survivors;
+// publishing them would serve a later identical query a truncated answer.
+// The sweep places the cancel at 1/4096, 1/2048, ..., 1/1 of an
+// uncancelled run's wall time, so several delays land inside the outer
+// filter scan on any build type, and every cancelled run gets a fresh
+// cache so each one can poison it.
+TEST(CacheStopTest, StoppedQueryNeverPoisonsTheFilterCache) {
+  const char* query =
+      "SELECT R.C0 FROM R WHERE R.C1 < 2 AND R.C0 IN (SELECT S.C0 FROM S)";
+  Catalog catalog;
+  ASSERT_OK(catalog.AddRelation(GenerateRandomRelation(41, "R", 2, 100000)));
+  ASSERT_OK(catalog.AddRelation(GenerateRandomRelation(42, "S", 2, 50)));
+  Stopwatch watch;
+  ASSERT_OK_AND_ASSIGN(Relation expected, RunQuery(query, catalog, nullptr));
+  const double full_us = watch.ElapsedSeconds() * 1e6;
+
+  for (size_t threads : {1u, 4u}) {
+    size_t cancelled = 0;
+    for (int step = 0; step <= 12; ++step) {
+      const auto delay = std::chrono::microseconds(
+          static_cast<int64_t>(std::ldexp(full_us, step - 12)));
+      const std::string label = "threads=" + std::to_string(threads) +
+                                " step=" + std::to_string(step);
+      CacheManager cache;
+      cache.set_capacity_bytes(64 << 20);
+      QueryContext qctx;
+      std::thread canceller([&qctx, delay] {
+        std::this_thread::sleep_for(delay);
+        qctx.Cancel();
+      });
+      Result<Relation> stopped = RunQuery(query, catalog, &cache, threads,
+                                          &qctx);
+      canceller.join();
+      if (!stopped.ok()) {
+        EXPECT_EQ(stopped.status().code(), StatusCode::kCancelled) << label;
+        ++cancelled;
+      }
+      ASSERT_OK_AND_ASSIGN(Relation again,
+                           RunQuery(query, catalog, &cache, threads));
+      EXPECT_TRUE(expected.EquivalentTo(again, 0.0))
+          << label << ": " << again.NumTuples() << " rows, expected "
+          << expected.NumTuples();
+    }
+    // The sweep must have stopped some runs, or it exercised nothing.
+    EXPECT_GT(cancelled, 0u) << "threads=" << threads;
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "fuzzy/necessity.h"
 #include "fuzzy/trapezoid.h"
 #include "test_util.h"
 
@@ -230,6 +231,50 @@ TEST_P(DegreeOracleTest, EqualitySymmetryAndBounds) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DegreeOracleTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// ------------------------- Necessity measure --------------------------
+
+TEST(NecessityTest, NeverExceedsPossibility) {
+  // With convex normal distributions Nec <= Poss (Section 2.2).
+  Rng rng(5);
+  for (int i = 0; i < 200; ++i) {
+    double c[4];
+    for (double& v : c) v = static_cast<double>(rng.UniformInt(0, 20));
+    std::sort(c, c + 4);
+    const Trapezoid x(c[0], c[1], c[2], c[3]);
+    for (double& v : c) v = static_cast<double>(rng.UniformInt(0, 20));
+    std::sort(c, c + 4);
+    const Trapezoid y(c[0], c[1], c[2], c[3]);
+    for (CompareOp op : {CompareOp::kEq, CompareOp::kLt, CompareOp::kLe,
+                         CompareOp::kGt, CompareOp::kGe}) {
+      EXPECT_LE(NecessityDegree(x, op, y),
+                SatisfactionDegree(x, op, y) + 1e-12)
+          << CompareOpName(op) << " " << x.ToString() << " "
+          << y.ToString();
+    }
+  }
+}
+
+TEST(NecessityTest, CrispValuesAgreeWithPossibility) {
+  const Trapezoid a = Trapezoid::Crisp(3), b = Trapezoid::Crisp(5);
+  EXPECT_DOUBLE_EQ(NecessityDegree(a, CompareOp::kLt, b), 1.0);
+  EXPECT_DOUBLE_EQ(NecessityDegree(b, CompareOp::kLt, a), 0.0);
+  EXPECT_DOUBLE_EQ(NecessityDegree(a, CompareOp::kEq, a), 1.0);
+}
+
+TEST(NecessityTest, FuzzyEqualityIsNeverNecessary) {
+  // Two genuinely fuzzy values may be equal (Poss > 0) but are never
+  // necessarily equal (the values could differ).
+  const Trapezoid x(0, 2, 4, 6), y(3, 4, 6, 8);
+  EXPECT_GT(SatisfactionDegree(x, CompareOp::kEq, y), 0.0);
+  EXPECT_DOUBLE_EQ(NecessityDegree(x, CompareOp::kEq, y), 0.0);
+}
+
+TEST(NecessityTest, ClearlySeparatedValues) {
+  const Trapezoid low(0, 1, 2, 3), high(10, 11, 12, 13);
+  EXPECT_DOUBLE_EQ(NecessityDegree(low, CompareOp::kLt, high), 1.0);
+  EXPECT_DOUBLE_EQ(NecessityDegree(high, CompareOp::kLt, low), 0.0);
+}
 
 }  // namespace
 }  // namespace fuzzydb

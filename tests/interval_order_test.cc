@@ -94,5 +94,146 @@ TEST(IntervalOrderTest, ZeroEqualityDegreeOutsideIntersection) {
   EXPECT_FALSE(SupportsIntersect(a, b));
 }
 
+// ---- RngCursor: the window scan of Definition 3.2 --------------------
+
+// One seeded key of a mix: crisp points, narrow and wide supports, and
+// runs of values sharing a support begin (interval-order ties broken
+// only by the end).
+Trapezoid RandomKey(Rng* rng) {
+  const double begin = static_cast<double>(rng->UniformInt(0, 200)) / 2.0;
+  switch (rng->UniformInt(0, 3)) {
+    case 0:
+      return Trapezoid::Crisp(begin);
+    case 1: {
+      const double w = rng->UniformDouble(0.0, 1.5);
+      return Trapezoid(begin, begin + w / 3, begin + w / 2, begin + w);
+    }
+    case 2: {
+      const double w = rng->UniformDouble(5.0, 40.0);
+      return Trapezoid(begin, begin + w / 4, begin + w / 2, begin + w);
+    }
+    default: {
+      const double b = static_cast<double>(rng->UniformInt(0, 4)) * 25.0;
+      return Trapezoid::Interval(b, b + rng->UniformDouble(0.0, 10.0));
+    }
+  }
+}
+
+std::vector<Trapezoid> SortedKeys(Rng* rng, size_t n) {
+  std::vector<Trapezoid> keys;
+  for (size_t i = 0; i < n; ++i) keys.push_back(RandomKey(rng));
+  std::sort(keys.begin(), keys.end(), IntervalOrderLess);
+  return keys;
+}
+
+std::vector<SupportBounds> BoundsOf(const std::vector<Trapezoid>& keys) {
+  std::vector<SupportBounds> bounds;
+  for (const Trapezoid& k : keys) bounds.push_back(SupportBounds::Of(k));
+  return bounds;
+}
+
+struct ScanResult {
+  std::vector<RngWindow> windows;
+  uint64_t comparisons = 0;
+  uint64_t pairs = 0;
+};
+
+// The window loop as the merge joins wrote it before RngCursor, kept as
+// the reference for the cursor's windows and counts.
+ScanResult ReferenceScan(const std::vector<Trapezoid>& outer,
+                         const std::vector<Trapezoid>& inner) {
+  ScanResult out;
+  size_t window_start = 0;
+  for (const Trapezoid& rk : outer) {
+    while (window_start < inner.size()) {
+      ++out.comparisons;
+      if (inner[window_start].SupportEnd() < rk.SupportBegin()) {
+        ++window_start;
+      } else {
+        break;
+      }
+    }
+    size_t i = window_start;
+    for (; i < inner.size(); ++i) {
+      ++out.comparisons;
+      if (inner[i].SupportBegin() > rk.SupportEnd()) break;
+      ++out.pairs;
+    }
+    out.windows.push_back(RngWindow{window_start, i});
+  }
+  return out;
+}
+
+// The outer keys scanned in morsels of `morsel` keys, each morsel's
+// cursor started at the prefix-max re-seek of the key before it.
+ScanResult MorselScan(const std::vector<SupportBounds>& outer,
+                      const std::vector<SupportBounds>& inner,
+                      size_t morsel) {
+  ScanResult out;
+  const std::vector<double> end_max = PrefixMaxEnds(inner);
+  for (size_t begin = 0; begin < outer.size(); begin += morsel) {
+    const size_t start =
+        begin == 0 ? 0 : RngSeekStart(end_max, outer[begin - 1].begin);
+    RngCursor cursor(inner, &out.comparisons, start);
+    for (size_t r = begin; r < std::min(outer.size(), begin + morsel); ++r) {
+      const RngWindow w = cursor.Next(outer[r]);
+      out.pairs += w.hi - w.lo;
+      out.windows.push_back(w);
+    }
+  }
+  return out;
+}
+
+TEST(RngCursorTest, MatchesTheReferenceLoopAndCoversEveryMeetingPair) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const std::vector<Trapezoid> outer =
+        SortedKeys(&rng, static_cast<size_t>(rng.UniformInt(0, 120)));
+    const std::vector<Trapezoid> inner =
+        SortedKeys(&rng, static_cast<size_t>(rng.UniformInt(0, 120)));
+    const ScanResult expected = ReferenceScan(outer, inner);
+    const ScanResult serial =
+        MorselScan(BoundsOf(outer), BoundsOf(inner), outer.size() + 1);
+    ASSERT_EQ(serial.windows.size(), outer.size());
+    EXPECT_EQ(serial.comparisons, expected.comparisons) << "seed " << seed;
+    EXPECT_EQ(serial.pairs, expected.pairs) << "seed " << seed;
+    for (size_t r = 0; r < outer.size(); ++r) {
+      const RngWindow w = serial.windows[r];
+      EXPECT_EQ(w.lo, expected.windows[r].lo) << "seed " << seed;
+      EXPECT_EQ(w.hi, expected.windows[r].hi) << "seed " << seed;
+      for (size_t i = 0; i < inner.size(); ++i) {
+        if (SupportsIntersect(outer[r], inner[i])) {
+          EXPECT_TRUE(i >= w.lo && i < w.hi)
+              << "seed " << seed << ": " << outer[r].ToString() << " meets "
+              << inner[i].ToString() << " outside [" << w.lo << ", " << w.hi
+              << ")";
+        }
+      }
+    }
+  }
+}
+
+TEST(RngCursorTest, PrefixMaxReseekReproducesTheSerialScan) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed + 1000);
+    const std::vector<SupportBounds> outer =
+        BoundsOf(SortedKeys(&rng, static_cast<size_t>(rng.UniformInt(1, 150))));
+    const std::vector<SupportBounds> inner =
+        BoundsOf(SortedKeys(&rng, static_cast<size_t>(rng.UniformInt(0, 150))));
+    const ScanResult serial = MorselScan(outer, inner, outer.size());
+    for (size_t morsel : {1u, 2u, 3u, 7u, 16u}) {
+      const ScanResult cut = MorselScan(outer, inner, morsel);
+      EXPECT_EQ(cut.comparisons, serial.comparisons)
+          << "seed " << seed << " morsel " << morsel;
+      EXPECT_EQ(cut.pairs, serial.pairs);
+      for (size_t r = 0; r < outer.size(); ++r) {
+        EXPECT_EQ(cut.windows[r].lo, serial.windows[r].lo)
+            << "seed " << seed << " morsel " << morsel << " r " << r;
+        EXPECT_EQ(cut.windows[r].hi, serial.windows[r].hi);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace fuzzydb

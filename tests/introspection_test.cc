@@ -689,8 +689,7 @@ TEST_F(IntrospectionTest, BuildInfoGaugeSurvivesMetricsReset) {
       show.str().substr(at, show.str().find('\n', at) - at);
   // Still stamped to 1 after the reset drained every other metric.
   EXPECT_EQ(line.substr(line.size() - 2), " 1") << line;
-  for (const char* label :
-       {"git_sha=", "compiler=", "batch_size=", "cost_based="}) {
+  for (const char* label : {"git_sha=", "compiler=", "batch_size="}) {
     EXPECT_NE(line.find(label), std::string::npos) << line;
   }
 }

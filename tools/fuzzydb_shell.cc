@@ -22,9 +22,6 @@
 //   fuzzydb_shell --query-log-keep=N     rotated journal generations to
 //                                        keep as PATH.1..PATH.N
 //                                        (default 3)
-//   fuzzydb_shell --no-cbo               disable cost-based planning
-//                                        (legacy fixed-rule plans;
-//                                        answers are bit-identical)
 //   fuzzydb_shell --wal-dir=DIR          write-ahead durability: recover
 //                                        the database in DIR, log every
 //                                        mutation (docs/durability.md)
@@ -218,8 +215,6 @@ int main(int argc, char** argv) {
       }
       fuzzydb::QueryJournal::Global().set_keep_files(
           static_cast<uint64_t>(keep));
-    } else if (arg == "--no-cbo") {
-      shell.set_cost_based(false);
     } else if (arg == "--explain-json") {
       shell.set_explain_json(true);
     } else if (arg == "--quiet" || arg == "-q") {
@@ -236,7 +231,7 @@ int main(int argc, char** argv) {
                    "    [--trace-json=PATH] [--metrics-json=PATH|-]\n"
                    "    [--metrics-prom=PATH|-] [--slow-query-ms=N]\n"
                    "    [--timeout-ms=N] [--memory-budget=N[k|m|g]]\n"
-                   "    [--cache-mb=N] [--batch-size=N] [--no-cbo]\n"
+                   "    [--cache-mb=N] [--batch-size=N]\n"
                    "    [--query-log=PATH] [--query-log-sample=N]\n"
                    "    [--query-log-keep=N] [--explain-json]\n"
                    "    [--wal-dir=DIR] [--wal-fsync=always|batch|off]\n";
