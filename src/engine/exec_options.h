@@ -33,14 +33,6 @@ struct ExecOptions {
   /// to exercise many-morsel schedules on small relations.
   size_t morsel_size = 2048;
 
-  /// Lanes per batch for the batch-at-a-time degree kernels (see
-  /// docs/architecture.md, "Batch execution"). 0 forces the scalar
-  /// tuple-at-a-time path everywhere (the A/B switch); values above
-  /// TrapezoidBatch::kCapacity (1024) are clamped to it. Results,
-  /// CpuStats and trace counters are identical for every setting --
-  /// the knob trades wall time only, like num_threads.
-  size_t batch_size = 1024;
-
   /// When > 0, a query whose wall time reaches this many milliseconds is
   /// recorded in SlowQueryLog::Global() together with its rendered
   /// EXPLAIN ANALYZE tree. If `trace` is null the evaluator attaches a

@@ -234,8 +234,7 @@ Result<RunResult> RunTypeJMergeJoin(PageFile* r_file, PageFile* s_file,
         (void)s;
         acc.Add(r.ValueAt(spec.r_x), d);
         return Status::OK();
-      }, trace, query,
-      options == nullptr ? size_t{1024} : options->batch_size));
+      }, trace, query));
 
   result.answer = acc.Finish(spec.threshold);
   span.SetOutputRows(result.answer.NumTuples());

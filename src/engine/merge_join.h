@@ -10,16 +10,20 @@
 #ifndef FUZZYDB_ENGINE_MERGE_JOIN_H_
 #define FUZZYDB_ENGINE_MERGE_JOIN_H_
 
+#include <array>
+#include <cstdint>
 #include <functional>
 
 #include "common/status.h"
 #include "engine/exec_stats.h"
 #include "fuzzy/degree.h"
+#include "fuzzy/trapezoid_batch.h"
 #include "storage/heap_file.h"
 
 namespace fuzzydb {
 
 class ExecTrace;
+class Histogram;
 class QueryContext;
 
 /// Describes the fuzzy join R |x| S.
@@ -48,6 +52,31 @@ struct FuzzyJoinSpec {
   double threshold = 0.0;
 };
 
+/// Scratch for evaluating join windows batch-at-a-time
+/// (docs/architecture.md, "Batch execution"): one window chunk's inner
+/// tuples, operand lanes, and degree lanes. Allocate once per join (or
+/// per worker) and reuse across windows.
+struct JoinScratch {
+  std::array<const Tuple*, TrapezoidBatch::kCapacity> window;
+  TrapezoidBatch operand;
+  std::array<double, TrapezoidBatch::kCapacity> degree;
+  std::array<double, TrapezoidBatch::kCapacity> result;
+  std::array<uint32_t, TrapezoidBatch::kCapacity> active;
+  uint64_t batches = 0;  // kernel invocations (span/metric annotation)
+  uint64_t rows = 0;     // lanes those invocations evaluated
+};
+
+/// Evaluates one window chunk: the `count` (<= kCapacity) inner tuples
+/// in js->window against `r`, leaving the combined degree
+/// min(r.D, s.D, d(key), d(residuals...)) in js->degree. Stages run in
+/// order with a per-lane early exit: a lane joins a stage only while
+/// its degree is > 0, and degree_evaluations advances once per
+/// participating lane. A non-fuzzy operand drops its stage to the
+/// per-lane Value::Compare fallback with the same counting.
+/// `fill_hist` (may be null) records each kernel call's lane count.
+void JoinChunkDegrees(const Tuple& r, size_t count, const FuzzyJoinSpec& spec,
+                      JoinScratch* js, CpuStats* cpu, Histogram* fill_hist);
+
 /// Called for each pair whose combined degree
 /// min(r.D, s.D, d(key), d(residuals...)) is positive.
 using JoinEmit =
@@ -59,16 +88,15 @@ using JoinEmit =
 /// With `query` set, cancellation/deadline are polled once per outer
 /// tuple and the in-memory window is charged against the memory budget.
 ///
-/// `batch_size` chunks each outer tuple's window for the batch
-/// satisfaction-degree kernels (ExecOptions::batch_size; 0 = the scalar
-/// pair-at-a-time path). Emitted pairs, degrees and CpuStats are
-/// identical for every setting.
+/// Each outer tuple's window is evaluated in chunks of up to
+/// TrapezoidBatch::kCapacity lanes by the batch satisfaction-degree
+/// kernels (docs/architecture.md, "Batch execution"); a non-fuzzy lane
+/// falls back to Value::Compare with the same counting.
 Status FileMergeJoin(PageFile* sorted_outer, PageFile* sorted_inner,
                      BufferPool* pool, const FuzzyJoinSpec& spec,
                      CpuStats* cpu, const JoinEmit& emit,
                      ExecTrace* trace = nullptr,
-                     QueryContext* query = nullptr,
-                     size_t batch_size = 1024);
+                     QueryContext* query = nullptr);
 
 }  // namespace fuzzydb
 

@@ -1,6 +1,7 @@
 #include "engine/partitioned_join.h"
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "common/query_context.h"
@@ -13,24 +14,6 @@
 namespace fuzzydb {
 
 namespace {
-
-/// Combined degree of one (r, s) pair under `spec` (same folding as the
-/// merge-join's).
-double PairDegree(const Tuple& r, const Tuple& s, const FuzzyJoinSpec& spec,
-                  CpuStats* cpu) {
-  double d = std::min(r.degree(), s.degree());
-  if (d <= 0.0) return 0.0;
-  if (cpu != nullptr) ++cpu->degree_evaluations;
-  d = std::min(d, r.ValueAt(spec.outer_key)
-                      .Compare(spec.key_op, s.ValueAt(spec.inner_key)));
-  for (const auto& residual : spec.residuals) {
-    if (d <= 0.0) break;
-    if (cpu != nullptr) ++cpu->degree_evaluations;
-    d = std::min(d, r.ValueAt(residual.outer_col)
-                        .Compare(residual.op, s.ValueAt(residual.inner_col)));
-  }
-  return d;
-}
 
 /// Index of the partition whose half-open range [bound[i-1], bound[i])
 /// contains x; boundaries are sorted, partition count = bounds.size()+1.
@@ -76,13 +59,17 @@ struct MatchRef {
 };
 
 /// Window scan within one loaded, sorted partition pair (the in-memory
-/// extended merge-join of pass 3). Matches are appended to `matches`
+/// extended merge-join of pass 3), each window evaluated in chunks by
+/// the merge-join's JoinChunkDegrees. Matches are appended to `matches`
 /// instead of emitted so partitions can be probed concurrently and still
 /// emit in partition order.
 void ProbePartition(const std::vector<Tuple>& outer_tuples,
                     const std::vector<Tuple>& inner_tuples,
                     const FuzzyJoinSpec& spec, CpuStats* cpu,
                     std::vector<MatchRef>* matches) {
+  const auto js = std::make_unique<JoinScratch>();
+  EngineMetrics* metrics = EngineMetrics::IfEnabled();
+  Histogram* fill_hist = metrics == nullptr ? nullptr : metrics->batch_fill;
   std::vector<SupportBounds> inner_bounds(inner_tuples.size());
   for (size_t i = 0; i < inner_tuples.size(); ++i) {
     inner_bounds[i] =
@@ -93,10 +80,22 @@ void ProbePartition(const std::vector<Tuple>& outer_tuples,
     const RngWindow window = cursor.Next(
         SupportBounds::Of(outer_tuples[r].ValueAt(spec.outer_key).AsFuzzy()));
     if (cpu != nullptr) cpu->tuple_pairs += window.hi - window.lo;
-    for (size_t i = window.lo; i < window.hi; ++i) {
-      const double d = PairDegree(outer_tuples[r], inner_tuples[i], spec, cpu);
-      if (d > 0.0) matches->push_back(MatchRef{r, i, d});
+    for (size_t lo = window.lo; lo < window.hi;
+         lo += TrapezoidBatch::kCapacity) {
+      const size_t count = std::min(TrapezoidBatch::kCapacity, window.hi - lo);
+      for (size_t k = 0; k < count; ++k) js->window[k] = &inner_tuples[lo + k];
+      JoinChunkDegrees(outer_tuples[r], count, spec, js.get(), cpu,
+                       fill_hist);
+      for (size_t k = 0; k < count; ++k) {
+        if (js->degree[k] > 0.0) {
+          matches->push_back(MatchRef{r, lo + k, js->degree[k]});
+        }
+      }
     }
+  }
+  if (metrics != nullptr && js->batches > 0) {
+    metrics->batch_batches->Add(js->batches);
+    metrics->batch_rows->Add(js->rows);
   }
 }
 
@@ -329,19 +328,20 @@ Status FilePartitionedJoin(PageFile* outer, PageFile* inner, BufferPool* pool,
     }
     if (status.ok()) {
       std::vector<std::vector<MatchRef>> matches(partitions);
-      ParallelFor(ctx, partitions, /*morsel_size=*/1,
-                  [&](size_t, size_t begin, size_t end) {
-                    for (size_t p = begin; p < end; ++p) {
-                      SortPartition(&outer_tuples[p], spec.outer_key, slot(p));
-                      SortPartition(&inner_tuples[p], spec.inner_key, slot(p));
-                      ProbePartition(outer_tuples[p], inner_tuples[p], spec,
-                                     slot(p), &matches[p]);
-                    }
-                  });
-      // A governed stop keeps ParallelFor from dispatching the remaining
+      const bool complete = ParallelFor(
+          ctx, partitions, /*morsel_size=*/1,
+          [&](size_t, size_t begin, size_t end) {
+            for (size_t p = begin; p < end; ++p) {
+              SortPartition(&outer_tuples[p], spec.outer_key, slot(p));
+              SortPartition(&inner_tuples[p], spec.inner_key, slot(p));
+              ProbePartition(outer_tuples[p], inner_tuples[p], spec, slot(p),
+                             &matches[p]);
+            }
+          });
+      // A governed stop kept ParallelFor from dispatching the remaining
       // partitions, so the buffered matches are incomplete: surface the
-      // stop instead of emitting a partial result.
-      status = CheckQuery(query);
+      // (latched) stop instead of emitting a partial result.
+      if (!complete) status = CheckQuery(query);
       for (size_t p = 0; p < partitions && status.ok(); ++p) {
         status = emit_matches(outer_tuples[p], inner_tuples[p], matches[p]);
       }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <map>
 #include <numeric>
@@ -58,39 +57,22 @@ QueryContext* CacheBudget(const ParallelContext& ctx) {
   return const_cast<QueryContext*>(ctx.query);
 }
 
-/// Degree of tuple `t` against the local predicates of a single-table
-/// block (subquery and correlation predicates are skipped).
-double LocalDegree(const BoundQuery& block, const Tuple& t, CpuStats* cpu) {
-  Frames frames;
-  frames.push_back({&t});
-  double d = t.degree();
-  for (const auto& pred : block.predicates) {
-    if (d <= 0.0) break;
-    if (pred.subquery != nullptr || !pred.IsLocal()) continue;
-    d = std::min(d, ComparisonDegree(pred, frames, cpu));
-  }
-  return d;
-}
-
 // ---------------------------------------------------------------------
 // Batch execution (docs/architecture.md, "Batch execution").
 //
-// The filter stage and the merge-window emit path gather their fuzzy
-// operands into TrapezoidBatch SoA batches and evaluate whole batches
-// through the kernels of fuzzy/degree_batch.h. The batch and scalar
-// paths share one copy of the degree arithmetic
-// (fuzzy/degree_kernels.h) and replicate each other's early-exit
-// counting lane for lane, so results, CpuStats and trace counters are
-// identical for every ExecOptions::batch_size -- only wall time
-// changes. Batches are cut inside morsels and never span one, so the
-// batch decomposition, like the morsel decomposition, is independent
-// of thread count.
+// The filter stage and the pair stage (merge window, nested pairing)
+// gather their fuzzy operands into TrapezoidBatch SoA batches of up to
+// TrapezoidBatch::kCapacity lanes and evaluate whole batches through
+// the kernels of fuzzy/degree_batch.h, which share the degree
+// arithmetic of fuzzy/degree_kernels.h with the scalar
+// SatisfactionDegree. Predicates fold left to right with a per-lane
+// early exit (a lane joins a predicate only while its degree is > 0)
+// and degree_evaluations advances once per participating lane. A
+// non-fuzzy lane drops its predicate to the per-lane ComparisonDegree
+// / Value::Compare fallback with the same counting. Batches are cut
+// inside morsels and never span one, so the batch decomposition, like
+// the morsel decomposition, is independent of thread count.
 // ---------------------------------------------------------------------
-
-/// Lanes per batch: the knob clamped to the SoA capacity; 0 = scalar.
-size_t EffectiveBatchSize(const ParallelContext& ctx) {
-  return std::min(ctx.batch_size, TrapezoidBatch::kCapacity);
-}
 
 /// Per-worker batch-path usage, summed at the barrier (sums are
 /// permutation-invariant, so the totals are thread-count-invariant).
@@ -100,8 +82,8 @@ struct BatchTally {
 };
 
 /// Sums the per-worker tallies into the span annotation and the
-/// fuzzydb_batch_* counters. Spans with zero batches stay unannotated
-/// (scalar runs and batch runs without batchable work look identical).
+/// fuzzydb_batch_* counters. Spans with zero batches (no batchable
+/// work) stay unannotated.
 void PublishBatchTally(const std::vector<BatchTally>& tallies,
                        TraceScope* span) {
   uint64_t batches = 0;
@@ -131,7 +113,7 @@ struct BatchOperand {
   bool is_column() const { return kind != Kind::kConstant; }
 };
 
-/// Resolves `op`, or nullopt when the operand forces the scalar
+/// Resolves `op`, or nullopt when the operand forces the per-lane
 /// fallback (a disallowed outer reference, a multi-table frame, or a
 /// non-fuzzy constant).
 std::optional<BatchOperand> ResolveBatchOperand(const BoundOperand& op,
@@ -204,7 +186,7 @@ struct FilterScratch {
 /// Gathers one filter operand for the chunk's active lanes. The dense
 /// first-predicate case (every lane active) takes the contiguous
 /// column gather; later predicates gather through the selection.
-/// Returns false when a lane is non-fuzzy (scalar fallback).
+/// Returns false when a lane is non-fuzzy (per-lane fallback).
 bool GatherFilterOperand(const BatchOperand& op, const Tuple* tuples,
                          size_t count, const uint32_t* active, size_t live,
                          TrapezoidBatch* storage, GatheredOperand* out) {
@@ -230,10 +212,10 @@ bool GatherFilterOperand(const BatchOperand& op, const Tuple* tuples,
 }
 
 /// Evaluates one chunk of `count` tuples of the filter's scan range
-/// batch-at-a-time, appending survivors (in scan order) to *out.
-/// Replicates LocalDegree's min-fold and early exit lane-wise: a lane
-/// participates in a predicate only while its degree is still > 0, so
-/// degree_evaluations matches the scalar path exactly.
+/// batch-at-a-time, appending survivors (in scan order) to *out. A
+/// tuple's degree is min(mu(t), d(p_1(t)), ...) over the local
+/// predicates in block order; a lane participates in a predicate only
+/// while its degree is still > 0.
 void FilterChunkBatched(const std::vector<BatchPredPlan>& plans,
                         const Tuple* tuples, size_t count,
                         FilterScratch* scratch, CpuStats* slot,
@@ -397,7 +379,7 @@ std::vector<FT> FilterBlock(const BoundQuery& block,
   // Cross-query reuse: the survivors depend only on the block plan and
   // the relation contents, and the fingerprint pins both (relations
   // appear as id@version). Cached filters replay as (index, degree)
-  // pairs against the live tuple vector, skipping every LocalDegree call.
+  // pairs against the live tuple vector, skipping every degree evaluation.
   std::string cache_key;
   std::vector<uint64_t> cache_deps;
   if (CacheOn(ctx)) {
@@ -427,11 +409,7 @@ std::vector<FT> FilterBlock(const BoundQuery& block,
   const size_t morsel = ctx.morsel_size == 0 ? 1 : ctx.morsel_size;
   std::vector<std::vector<FT>> per_morsel((n + morsel - 1) / morsel);
   std::vector<CpuStats> worker_cpu(WorkerSlots(ctx));
-  // Batch path: resolve each local predicate's operands once. The
-  // chunked scan below evaluates the same predicates in the same order
-  // with the same early exit as LocalDegree, so survivors, degrees and
-  // counters are identical; batch_size = 0 keeps the scalar loop.
-  const size_t batch = EffectiveBatchSize(ctx);
+  // Resolve each local predicate's operands once per operator.
   std::vector<BatchPredPlan> plans;
   for (const auto& pred : block.predicates) {
     if (pred.subquery != nullptr || !pred.IsLocal()) continue;
@@ -441,9 +419,8 @@ std::vector<FT> FilterBlock(const BoundQuery& block,
     plan.rhs = ResolveBatchOperand(pred.rhs, /*allow_outer=*/false);
     plans.push_back(plan);
   }
-  const bool use_batch = batch > 0 && !plans.empty();
   std::vector<std::unique_ptr<FilterScratch>> scratches(
-      use_batch ? WorkerSlots(ctx) : 0);
+      plans.empty() ? 0 : WorkerSlots(ctx));
   std::vector<BatchTally> tallies(WorkerSlots(ctx));
   EngineMetrics* metrics = EngineMetrics::IfEnabled();
   Histogram* fill_hist = metrics == nullptr ? nullptr : metrics->batch_fill;
@@ -451,22 +428,25 @@ std::vector<FT> FilterBlock(const BoundQuery& block,
   // destructor runs first during unwinding, so whatever the workers
   // tallied still lands in *cpu before the span snapshots its delta.
   CpuStatsFolder folder(cpu == nullptr ? nullptr : &worker_cpu, cpu);
-  ParallelFor(ctx, n, [&](size_t worker, size_t begin, size_t end) {
-    CpuStats* slot = cpu == nullptr ? nullptr : &worker_cpu[worker];
+  const bool complete = ParallelFor(ctx, n, [&](size_t worker, size_t begin,
+                                                 size_t end) {
     std::vector<FT>& out = per_morsel[begin / morsel];
-    if (use_batch) {
-      std::unique_ptr<FilterScratch>& scratch = scratches[worker];
-      if (scratch == nullptr) scratch = std::make_unique<FilterScratch>();
-      for (size_t i = begin; i < end; i += batch) {
-        FilterChunkBatched(plans, &tuples[i], std::min(batch, end - i),
-                           scratch.get(), slot, &tallies[worker], fill_hist,
-                           &out);
+    if (plans.empty()) {  // no local predicate: the degree is mu(t)
+      for (size_t i = begin; i < end; ++i) {
+        if (tuples[i].degree() > 0.0) {
+          out.push_back(FT{&tuples[i], tuples[i].degree()});
+        }
       }
       return;
     }
-    for (size_t i = begin; i < end; ++i) {
-      const double d = LocalDegree(block, tuples[i], slot);
-      if (d > 0.0) out.push_back(FT{&tuples[i], d});
+    std::unique_ptr<FilterScratch>& scratch = scratches[worker];
+    if (scratch == nullptr) scratch = std::make_unique<FilterScratch>();
+    for (size_t i = begin; i < end; i += TrapezoidBatch::kCapacity) {
+      FilterChunkBatched(plans, &tuples[i],
+                         std::min(TrapezoidBatch::kCapacity, end - i),
+                         scratch.get(),
+                         cpu == nullptr ? nullptr : &worker_cpu[worker],
+                         &tallies[worker], fill_hist, &out);
     }
   });
   size_t survivors = 0;
@@ -491,7 +471,7 @@ std::vector<FT> FilterBlock(const BoundQuery& block,
   }
   // A governed stop cut the scan short: the survivors are partial and
   // must not answer a later query (the caller surfaces the stop).
-  if (!cache_key.empty() && !QueryStopRequested(ctx.query)) {
+  if (!cache_key.empty() && complete) {
     auto payload = std::make_shared<CacheManager::FilteredBlock>();
     payload->reserve(out.size());
     const Tuple* base = tuples.data();
@@ -593,107 +573,6 @@ Status SortByIntervalOrder(std::vector<FT>* tuples, size_t col,
   return Status::OK();
 }
 
-/// Hoists the support bounds of fuzzy column `col`, once per join input
-/// (see SupportBounds).
-std::vector<SupportBounds> HoistSupportBounds(const std::vector<FT>& tuples,
-                                              size_t col) {
-  std::vector<SupportBounds> bounds(tuples.size());
-  for (size_t i = 0; i < tuples.size(); ++i) {
-    bounds[i] = SupportBounds::Of(tuples[i].tuple->ValueAt(col).AsFuzzy());
-  }
-  return bounds;
-}
-
-/// The extended merge-join enumeration (Section 3): both inputs sorted on
-/// their key columns; for each outer tuple, emits exactly the inner tuples
-/// of Rng(r) (Definition 3.2).
-///
-/// Parallelization: the *outer* sorted input is cut into morsels; the
-/// window logic is read-only over the inner side, so morsels are
-/// independent and the enumeration is exactly degree-preserving. Each
-/// morsel starts its RngCursor where the serial scan stands at the
-/// morsel's entry (RngSeekStart), so counted comparisons sum to the
-/// serial totals for every thread count.
-///
-/// `emit(worker, r, s)` may run concurrently for distinct workers; per-
-/// worker stats go to worker_cpu (null = don't count, the serial
-/// convention for cpu == nullptr). The worker slots -- including
-/// whatever the emit callback tallied into them -- are folded into
-/// `total_cpu` at the barrier, inside this operator's trace span.
-///
-/// A batching emit callback buffers pairs and needs a drain point that
-/// keeps batches from spanning morsels: `morsel_flush(worker)`, when
-/// set, runs at the end of every morsel body. `batch_tallies`, when
-/// set, is published into this operator's span after the fold.
-void MergeWindow(const std::vector<FT>& outer, size_t outer_col,
-                 const std::vector<FT>& inner, size_t inner_col,
-                 const ParallelContext& ctx,
-                 std::vector<CpuStats>* worker_cpu, CpuStats* total_cpu,
-                 ExecTrace* trace,
-                 const std::function<void(size_t, const FT&, const FT&)>&
-                     emit,
-                 const std::function<void(size_t)>& morsel_flush = {},
-                 const std::vector<BatchTally>* batch_tallies = nullptr,
-                 uint64_t est_pairs = TraceNode::kNoCount) {
-  TraceScope span(trace, "merge-window", total_cpu, nullptr,
-                  "inner=" + std::to_string(inner.size()));
-  span.SetInputRows(outer.size());
-  span.SetThreads(WorkerSlots(ctx));
-  PhaseScope phase(ctx.progress, QueryPhase::kWindow);
-  // Declared after `span` so a throwing emit callback still folds the
-  // worker tallies before the span records its delta (see CpuStatsFolder).
-  CpuStatsFolder folder(worker_cpu, total_cpu);
-  // Hoisted out of the scan: the enabled path per outer tuple is one
-  // relaxed-atomic Record of |Rng(r)|, the disabled path one null test.
-  EngineMetrics* metrics = EngineMetrics::IfEnabled();
-  Histogram* window_hist =
-      metrics == nullptr ? nullptr : metrics->merge_window_length;
-  const std::vector<SupportBounds> outer_bounds =
-      HoistSupportBounds(outer, outer_col);
-  const std::vector<SupportBounds> inner_bounds =
-      HoistSupportBounds(inner, inner_col);
-  const std::vector<double> inner_end_max = PrefixMaxEnds(inner_bounds);
-
-  // Windowed (= emitted) pairs per worker; the post-barrier sum is
-  // permutation-invariant, so the span's rows_out -- the actual
-  // cardinality the q-error gate compares est_pairs against -- is
-  // thread-count-invariant like the counters.
-  std::vector<uint64_t> worker_pairs(WorkerSlots(ctx), 0);
-
-  ParallelFor(ctx, outer.size(), [&](size_t worker, size_t begin,
-                                     size_t end) {
-    CpuStats* cpu = worker_cpu == nullptr ? nullptr : &(*worker_cpu)[worker];
-    const size_t start =
-        begin == 0 ? 0
-                   : RngSeekStart(inner_end_max, outer_bounds[begin - 1].begin);
-    RngCursor cursor(inner_bounds,
-                     cpu == nullptr ? nullptr : &cpu->comparisons, start);
-    for (size_t r = begin; r < end; ++r) {
-      const RngWindow window = cursor.Next(outer_bounds[r]);
-      const uint64_t window_len = window.hi - window.lo;
-      if (cpu != nullptr) cpu->tuple_pairs += window_len;
-      for (size_t i = window.lo; i < window.hi; ++i) {
-        emit(worker, outer[r], inner[i]);
-      }
-      if (window_hist != nullptr) window_hist->Record(window_len);
-      worker_pairs[worker] += window_len;
-    }
-    if (morsel_flush) morsel_flush(worker);
-  });
-  folder.Fold();
-  uint64_t emitted = 0;
-  for (uint64_t p : worker_pairs) emitted += p;
-  if (ctx.progress != nullptr) ctx.progress->AddPairs(emitted);
-  if (span.enabled()) {
-    span.SetOutputRows(emitted);
-    if (est_pairs != TraceNode::kNoCount) {
-      span.SetEstimatedRows(est_pairs);
-      RecordQError(est_pairs, emitted);
-    }
-  }
-  if (batch_tallies != nullptr) PublishBatchTally(*batch_tallies, &span);
-}
-
 /// The decomposed shape of one subquery predicate and its inner block.
 struct LinkShape {
   const BoundPredicate* pred = nullptr;
@@ -756,32 +635,17 @@ std::optional<LinkShape> DecomposeLink(const BoundPredicate& pred) {
   return shape;
 }
 
-/// Degree of the correlation predicates for the pair (r, s).
-double CorrelationDegree(const LinkShape& shape, const Tuple& r,
-                         const Tuple& s, CpuStats* cpu) {
-  if (shape.correlations.empty()) return 1.0;
-  Frames frames;
-  frames.push_back({&r});
-  frames.push_back({&s});
-  double d = 1.0;
-  for (const BoundPredicate* pred : shape.correlations) {
-    if (d <= 0.0) break;
-    d = std::min(d, ComparisonDegree(*pred, frames, cpu));
-  }
-  return d;
-}
-
-/// One buffered (outer, inner) pair from the merge-window scan. The
-/// pointers reference the window's stable sorted vectors; `index` is
-/// the pair's slot in the caller's per-outer degree vector.
+/// One buffered (outer, inner) pair of the pair stage. The pointers
+/// reference the caller's stable input vectors; `index` is the slot of
+/// the per-outer degree vector the pair's term folds into.
 struct PairEntry {
   const FT* r = nullptr;
   const FT* s = nullptr;
   size_t index = 0;
 };
 
-/// Reusable per-worker scratch for the batched merge-window emit path:
-/// the pending pairs of the current morsel plus operand/degree lanes.
+/// Reusable per-worker scratch for the pair stage: the pending pairs
+/// plus operand/degree lanes.
 struct PairScratch {
   std::vector<PairEntry> entries;
   TrapezoidBatch lhs;
@@ -794,7 +658,7 @@ struct PairScratch {
 
 /// Gathers one pair operand for the active entries: lanes come from
 /// the outer tuple (up == 1), the inner tuple (up == 0), or the
-/// constant. Returns false when a lane is non-fuzzy (scalar fallback).
+/// constant. Returns false when a lane is non-fuzzy (per-lane fallback).
 bool GatherPairOperand(const BatchOperand& op, const PairEntry* entries,
                        const uint32_t* active, size_t live,
                        TrapezoidBatch* storage, GatheredOperand* out) {
@@ -817,120 +681,279 @@ bool GatherPairOperand(const BatchOperand& op, const PairEntry* entries,
   return true;
 }
 
-/// Evaluates and drains one worker's pending pairs: the correlation
-/// min-fold, the linking comparison, then the max-fold into m[]. This
-/// is `pair_term` (see InFamilyDegrees) lane for lane -- the same
-/// early exits (correlation lanes drop out at degree 0; the link is
-/// only evaluated for terms still > 0) and the same counting, so
-/// CpuStats are identical to the scalar emit for every batch size.
-/// Concurrent flushes write disjoint m[] slots: a morsel's sorted
-/// positions belong to one worker and order[] is a permutation.
-void FlushPairBatch(const LinkShape& shape,
-                    const std::vector<BatchPredPlan>& corr_plans,
-                    const BatchOperand& link_lhs,
-                    const BatchOperand& link_rhs, PairScratch* ps,
-                    CpuStats* slot, BatchTally* tally, Histogram* fill_hist,
-                    std::vector<double>* m) {
-  const size_t count = ps->entries.size();
-  if (count == 0) return;
-  const PairEntry* entries = ps->entries.data();
-  double* corr = ps->corr.data();
-  double* term = ps->term.data();
-  double* res = ps->result.data();
-  uint32_t* active = ps->active.data();
+/// The pair stage of the IN/quantifier family: folds the term
+///     min(d_S(s), d(corr(r, s)), f(d(r.Y op s.Z)))
+/// of each (r, s) pair into m[index] by max, batch-at-a-time. The
+/// correlation predicates fold in order, a lane dropping out once its
+/// degree reaches 0, and the link is only evaluated for terms still > 0.
+///
+/// Add() buffers a pair and evaluates a full batch of
+/// TrapezoidBatch::kCapacity pairs; Flush() drains the rest. Callers
+/// flush at every morsel end, so batches never span a morsel and the
+/// batch decomposition is thread-count-invariant. Workers write
+/// disjoint m[] slots when each outer tuple belongs to one morsel.
+/// Scratch is allocated lazily, once per worker that sees a pair.
+class PairFold {
+ public:
+  /// `worker_cpu`: per-worker counters (null = don't count).
+  PairFold(const LinkShape& shape, const ParallelContext& ctx,
+           std::vector<CpuStats>* worker_cpu, std::vector<double>* m)
+      : shape_(shape),
+        worker_cpu_(worker_cpu),
+        m_(m),
+        scratch_(WorkerSlots(ctx)),
+        tallies_(WorkerSlots(ctx)) {
+    for (const BoundPredicate* pred : shape.correlations) {
+      BatchPredPlan plan;
+      plan.pred = pred;
+      plan.lhs = ResolveBatchOperand(pred->lhs, /*allow_outer=*/true);
+      plan.rhs = ResolveBatchOperand(pred->rhs, /*allow_outer=*/true);
+      corr_plans_.push_back(plan);
+    }
+    link_lhs_.kind = BatchOperand::Kind::kOuterColumn;
+    link_lhs_.column = shape.outer_link_col;
+    link_rhs_.kind = BatchOperand::Kind::kLocalColumn;
+    link_rhs_.column = shape.inner_link_col;
+    EngineMetrics* metrics = EngineMetrics::IfEnabled();
+    fill_hist_ = metrics == nullptr ? nullptr : metrics->batch_fill;
+  }
 
-  for (size_t k = 0; k < count; ++k) corr[k] = 1.0;
-  for (const BatchPredPlan& plan : corr_plans) {
-    size_t live = 0;
+  /// Buffers the pair (r, s), whose term folds into m[index].
+  void Add(size_t worker, const FT& r, const FT& s, size_t index) {
+    std::unique_ptr<PairScratch>& ps = scratch_[worker];
+    if (ps == nullptr) {
+      ps = std::make_unique<PairScratch>();
+      ps->entries.reserve(TrapezoidBatch::kCapacity);
+    }
+    ps->entries.push_back(PairEntry{&r, &s, index});
+    if (ps->entries.size() == TrapezoidBatch::kCapacity) Evaluate(worker);
+  }
+
+  /// Evaluates and drains `worker`'s pending pairs.
+  void Flush(size_t worker) {
+    if (scratch_[worker] != nullptr) Evaluate(worker);
+  }
+
+  /// Publishes the batch usage into `span` and the batch metrics.
+  void Publish(TraceScope* span) const { PublishBatchTally(tallies_, span); }
+
+ private:
+  void Evaluate(size_t worker) {
+    PairScratch* ps = scratch_[worker].get();
+    CpuStats* slot =
+        worker_cpu_ == nullptr ? nullptr : &(*worker_cpu_)[worker];
+    BatchTally& tally = tallies_[worker];
+    const size_t count = ps->entries.size();
+    if (count == 0) return;
+    const PairEntry* entries = ps->entries.data();
+    double* corr = ps->corr.data();
+    double* term = ps->term.data();
+    double* res = ps->result.data();
+    uint32_t* active = ps->active.data();
+
+    for (size_t k = 0; k < count; ++k) corr[k] = 1.0;
+    for (const BatchPredPlan& plan : corr_plans_) {
+      size_t live = 0;
+      for (size_t k = 0; k < count; ++k) {
+        active[live] = static_cast<uint32_t>(k);
+        live += static_cast<size_t>(corr[k] > 0.0);
+      }
+      if (live == 0) break;
+      bool batched = false;
+      if (plan.batchable()) {
+        GatheredOperand lhs, rhs;
+        batched = GatherPairOperand(*plan.lhs, entries, active, live,
+                                    &ps->lhs, &lhs) &&
+                  GatherPairOperand(*plan.rhs, entries, active, live,
+                                    &ps->rhs, &rhs);
+        if (batched) {
+          RunBatchCompare(lhs, plan.pred->op, rhs,
+                          plan.pred->approx_tolerance, res);
+          if (slot != nullptr) slot->degree_evaluations += live;
+          ++tally.batches;
+          tally.rows += live;
+          if (fill_hist_ != nullptr) fill_hist_->Record(live);
+          for (size_t j = 0; j < live; ++j) {
+            const size_t k = active[j];
+            corr[k] = std::min(corr[k], res[j]);
+          }
+        }
+      }
+      if (!batched) {
+        for (size_t j = 0; j < live; ++j) {
+          const size_t k = active[j];
+          Frames frames;
+          frames.push_back({entries[k].r->tuple});
+          frames.push_back({entries[k].s->tuple});
+          corr[k] =
+              std::min(corr[k], ComparisonDegree(*plan.pred, frames, slot));
+        }
+      }
+    }
+
     for (size_t k = 0; k < count; ++k) {
-      active[live] = static_cast<uint32_t>(k);
-      live += static_cast<size_t>(corr[k] > 0.0);
+      term[k] = std::min(entries[k].s->degree, corr[k]);
     }
-    if (live == 0) break;
-    bool batched = false;
-    if (plan.batchable()) {
-      GatheredOperand lhs, rhs;
-      batched = GatherPairOperand(*plan.lhs, entries, active, live,
-                                  &ps->lhs, &lhs) &&
-                GatherPairOperand(*plan.rhs, entries, active, live,
-                                  &ps->rhs, &rhs);
-      if (batched) {
-        RunBatchCompare(lhs, plan.pred->op, rhs, plan.pred->approx_tolerance,
-                        res);
-        if (slot != nullptr) slot->degree_evaluations += live;
-        ++tally->batches;
-        tally->rows += live;
-        if (fill_hist != nullptr) fill_hist->Record(live);
-        for (size_t j = 0; j < live; ++j) {
-          const size_t k = active[j];
-          corr[k] = std::min(corr[k], res[j]);
+
+    if (shape_.has_link_columns) {
+      size_t live = 0;
+      for (size_t k = 0; k < count; ++k) {
+        active[live] = static_cast<uint32_t>(k);
+        live += static_cast<size_t>(term[k] > 0.0);
+      }
+      if (live > 0) {
+        GatheredOperand lhs, rhs;
+        // The link comparison is Value::Compare's with the *default*
+        // tolerance (the predicate's approx_tolerance applies to its
+        // direct comparison, not the quantified link), so the batch
+        // kernel uses 1.0 as well.
+        const bool batched =
+            GatherPairOperand(link_lhs_, entries, active, live, &ps->lhs,
+                              &lhs) &&
+            GatherPairOperand(link_rhs_, entries, active, live, &ps->rhs,
+                              &rhs);
+        if (batched) {
+          RunBatchCompare(lhs, shape_.link_op, rhs, /*tolerance=*/1.0, res);
+          if (slot != nullptr) slot->degree_evaluations += live;
+          ++tally.batches;
+          tally.rows += live;
+          if (fill_hist_ != nullptr) fill_hist_->Record(live);
+          for (size_t j = 0; j < live; ++j) {
+            const size_t k = active[j];
+            const double link = res[j];
+            term[k] =
+                std::min(term[k], shape_.negate_link ? 1.0 - link : link);
+          }
+        } else {
+          for (size_t j = 0; j < live; ++j) {
+            const size_t k = active[j];
+            const PairEntry& e = entries[k];
+            if (slot != nullptr) ++slot->degree_evaluations;
+            const double link =
+                e.r->tuple->ValueAt(shape_.outer_link_col)
+                    .Compare(shape_.link_op,
+                             e.s->tuple->ValueAt(shape_.inner_link_col));
+            term[k] =
+                std::min(term[k], shape_.negate_link ? 1.0 - link : link);
+          }
         }
       }
     }
-    if (!batched) {
-      for (size_t j = 0; j < live; ++j) {
-        const size_t k = active[j];
-        Frames frames;
-        frames.push_back({entries[k].r->tuple});
-        frames.push_back({entries[k].s->tuple});
-        corr[k] = std::min(corr[k], ComparisonDegree(*plan.pred, frames, slot));
-      }
-    }
-  }
 
-  for (size_t k = 0; k < count; ++k) {
-    term[k] = std::min(entries[k].s->degree, corr[k]);
-  }
-
-  if (shape.has_link_columns) {
-    size_t live = 0;
     for (size_t k = 0; k < count; ++k) {
-      active[live] = static_cast<uint32_t>(k);
-      live += static_cast<size_t>(term[k] > 0.0);
+      const PairEntry& e = entries[k];
+      if (term[k] > (*m_)[e.index]) (*m_)[e.index] = term[k];
     }
-    if (live > 0) {
-      GatheredOperand lhs, rhs;
-      // The scalar path's link comparison is Value::Compare with the
-      // *default* tolerance (the predicate's approx_tolerance applies
-      // to its direct comparison, not the quantified link), so the
-      // batch kernel must use 1.0 as well.
-      const bool batched =
-          GatherPairOperand(link_lhs, entries, active, live, &ps->lhs,
-                            &lhs) &&
-          GatherPairOperand(link_rhs, entries, active, live, &ps->rhs, &rhs);
-      if (batched) {
-        RunBatchCompare(lhs, shape.link_op, rhs, /*tolerance=*/1.0, res);
-        if (slot != nullptr) slot->degree_evaluations += live;
-        ++tally->batches;
-        tally->rows += live;
-        if (fill_hist != nullptr) fill_hist->Record(live);
-        for (size_t j = 0; j < live; ++j) {
-          const size_t k = active[j];
-          const double link = res[j];
-          term[k] =
-              std::min(term[k], shape.negate_link ? 1.0 - link : link);
-        }
-      } else {
-        for (size_t j = 0; j < live; ++j) {
-          const size_t k = active[j];
-          const PairEntry& e = entries[k];
-          if (slot != nullptr) ++slot->degree_evaluations;
-          const double link =
-              e.r->tuple->ValueAt(shape.outer_link_col)
-                  .Compare(shape.link_op,
-                           e.s->tuple->ValueAt(shape.inner_link_col));
-          term[k] =
-              std::min(term[k], shape.negate_link ? 1.0 - link : link);
-        }
-      }
-    }
+    ps->entries.clear();
   }
 
-  for (size_t k = 0; k < count; ++k) {
-    const PairEntry& e = entries[k];
-    if (term[k] > (*m)[e.index]) (*m)[e.index] = term[k];
+  const LinkShape& shape_;
+  std::vector<CpuStats>* worker_cpu_;
+  std::vector<double>* m_;
+  std::vector<BatchPredPlan> corr_plans_;
+  BatchOperand link_lhs_;
+  BatchOperand link_rhs_;
+  Histogram* fill_hist_ = nullptr;
+  std::vector<std::unique_ptr<PairScratch>> scratch_;
+  std::vector<BatchTally> tallies_;
+};
+
+/// Hoists the support bounds of fuzzy column `col`, once per join input
+/// (see SupportBounds).
+std::vector<SupportBounds> HoistSupportBounds(const std::vector<FT>& tuples,
+                                              size_t col) {
+  std::vector<SupportBounds> bounds(tuples.size());
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    bounds[i] = SupportBounds::Of(tuples[i].tuple->ValueAt(col).AsFuzzy());
   }
-  ps->entries.clear();
+  return bounds;
+}
+
+/// The extended merge-join enumeration (Section 3): both inputs sorted on
+/// their key columns; for each outer tuple, hands exactly the inner
+/// tuples of Rng(r) (Definition 3.2) to the pair stage, the pair
+/// (outer[r], inner[i]) folding into m[outer_index[r]].
+///
+/// Parallelization: the *outer* sorted input is cut into morsels; the
+/// window logic is read-only over the inner side, so morsels are
+/// independent and the enumeration is exactly degree-preserving. Each
+/// morsel starts its RngCursor where the serial scan stands at the
+/// morsel's entry (RngSeekStart), so counted comparisons sum to the
+/// serial totals for every thread count. Each morsel body flushes its
+/// worker's pending pairs before it ends.
+///
+/// Per-worker stats go to worker_cpu (null = don't count, the serial
+/// convention for cpu == nullptr) and are folded into `total_cpu` at
+/// the barrier, inside this operator's trace span.
+///
+/// Returns false when a governed stop skipped morsels: m[] is then
+/// partial and must not be used.
+[[nodiscard]] bool MergeWindow(const std::vector<FT>& outer, size_t outer_col,
+                               const std::vector<size_t>& outer_index,
+                               const std::vector<FT>& inner, size_t inner_col,
+                               const ParallelContext& ctx,
+                               std::vector<CpuStats>* worker_cpu,
+                               CpuStats* total_cpu, ExecTrace* trace,
+                               PairFold* fold, uint64_t est_pairs) {
+  TraceScope span(trace, "merge-window", total_cpu, nullptr,
+                  "inner=" + std::to_string(inner.size()));
+  span.SetInputRows(outer.size());
+  span.SetThreads(WorkerSlots(ctx));
+  PhaseScope phase(ctx.progress, QueryPhase::kWindow);
+  // Declared after `span` so a throwing morsel body still folds the
+  // worker tallies before the span records its delta (see CpuStatsFolder).
+  CpuStatsFolder folder(worker_cpu, total_cpu);
+  // Hoisted out of the scan: the enabled path per outer tuple is one
+  // relaxed-atomic Record of |Rng(r)|, the disabled path one null test.
+  EngineMetrics* metrics = EngineMetrics::IfEnabled();
+  Histogram* window_hist =
+      metrics == nullptr ? nullptr : metrics->merge_window_length;
+  const std::vector<SupportBounds> outer_bounds =
+      HoistSupportBounds(outer, outer_col);
+  const std::vector<SupportBounds> inner_bounds =
+      HoistSupportBounds(inner, inner_col);
+  const std::vector<double> inner_end_max = PrefixMaxEnds(inner_bounds);
+
+  // Windowed pairs per worker; the post-barrier sum is
+  // permutation-invariant, so the span's rows_out -- the actual
+  // cardinality the q-error gate compares est_pairs against -- is
+  // thread-count-invariant like the counters.
+  std::vector<uint64_t> worker_pairs(WorkerSlots(ctx), 0);
+
+  const bool complete = ParallelFor(ctx, outer.size(), [&](size_t worker,
+                                                           size_t begin,
+                                                           size_t end) {
+    CpuStats* cpu = worker_cpu == nullptr ? nullptr : &(*worker_cpu)[worker];
+    const size_t start =
+        begin == 0 ? 0
+                   : RngSeekStart(inner_end_max, outer_bounds[begin - 1].begin);
+    RngCursor cursor(inner_bounds,
+                     cpu == nullptr ? nullptr : &cpu->comparisons, start);
+    for (size_t r = begin; r < end; ++r) {
+      const RngWindow window = cursor.Next(outer_bounds[r]);
+      const uint64_t window_len = window.hi - window.lo;
+      if (cpu != nullptr) cpu->tuple_pairs += window_len;
+      for (size_t i = window.lo; i < window.hi; ++i) {
+        fold->Add(worker, outer[r], inner[i], outer_index[r]);
+      }
+      if (window_hist != nullptr) window_hist->Record(window_len);
+      worker_pairs[worker] += window_len;
+    }
+    fold->Flush(worker);
+  });
+  folder.Fold();
+  uint64_t emitted = 0;
+  for (uint64_t p : worker_pairs) emitted += p;
+  if (ctx.progress != nullptr) ctx.progress->AddPairs(emitted);
+  if (span.enabled()) {
+    span.SetOutputRows(emitted);
+    if (est_pairs != TraceNode::kNoCount) {
+      span.SetEstimatedRows(est_pairs);
+      RecordQError(est_pairs, emitted);
+    }
+  }
+  fold->Publish(&span);
+  return complete;
 }
 
 /// Picks an equality correlation predicate over fuzzy columns usable as
@@ -998,19 +1021,6 @@ Result<std::vector<double>> InFamilyDegrees(const std::vector<FT>& outer,
   FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
   std::vector<double> m(outer.size(), 0.0);
 
-  // `slot` is the caller's CpuStats in the serial branches and a
-  // per-worker slot inside the parallel merge window.
-  auto pair_term = [&](CpuStats* slot, const FT& r, const FT& s) -> double {
-    double term =
-        std::min(s.degree, CorrelationDegree(shape, *r.tuple, *s.tuple, slot));
-    if (term <= 0.0 || !shape.has_link_columns) return term;
-    if (slot != nullptr) ++slot->degree_evaluations;
-    const double link =
-        r.tuple->ValueAt(shape.outer_link_col)
-            .Compare(shape.link_op, s.tuple->ValueAt(shape.inner_link_col));
-    return std::min(term, shape.negate_link ? 1.0 - link : link);
-  };
-
   const bool link_is_eq_fuzzy =
       shape.has_link_columns && shape.link_op == CompareOp::kEq &&
       ColumnIsFuzzy(outer, shape.outer_link_col) &&
@@ -1034,6 +1044,7 @@ Result<std::vector<double>> InFamilyDegrees(const std::vector<FT>& outer,
                            "outer-view col" + std::to_string(outer_key));
       sort_span.SetInputRows(outer.size());
       sort_span.SetThreads(WorkerSlots(ctx));
+      PhaseScope sort_phase(ctx.progress, QueryPhase::kSort);
       uint64_t order_comparisons = 0;
       if (!ParallelSort(
               ctx, &order, cpu == nullptr ? nullptr : &order_comparisons,
@@ -1055,66 +1066,9 @@ Result<std::vector<double>> InFamilyDegrees(const std::vector<FT>& outer,
         &inner, inner_key, ctx, cpu, trace, shape.inner->tables[0].relation));
 
     // Each sorted position belongs to exactly one morsel and order[] is a
-    // permutation, so concurrent workers write disjoint m[idx] slots.
+    // permutation, so concurrent workers write disjoint m[] slots.
     std::vector<CpuStats> worker_cpu(WorkerSlots(ctx));
-    const FT* base = sorted_outer.data();
-    const size_t batch = EffectiveBatchSize(ctx);
-    std::function<void(size_t, const FT&, const FT&)> emit;
-    std::function<void(size_t)> morsel_flush;
-    std::vector<BatchTally> tallies(WorkerSlots(ctx));
-    std::vector<std::unique_ptr<PairScratch>> pair_scratch(
-        batch > 0 ? WorkerSlots(ctx) : 0);
-    std::vector<BatchPredPlan> corr_plans;
-    BatchOperand link_lhs;
-    BatchOperand link_rhs;
-    if (batch > 0) {
-      for (const BoundPredicate* pred : shape.correlations) {
-        BatchPredPlan plan;
-        plan.pred = pred;
-        plan.lhs = ResolveBatchOperand(pred->lhs, /*allow_outer=*/true);
-        plan.rhs = ResolveBatchOperand(pred->rhs, /*allow_outer=*/true);
-        corr_plans.push_back(plan);
-      }
-      link_lhs.kind = BatchOperand::Kind::kOuterColumn;
-      link_lhs.column = shape.outer_link_col;
-      link_rhs.kind = BatchOperand::Kind::kLocalColumn;
-      link_rhs.column = shape.inner_link_col;
-      EngineMetrics* metrics = EngineMetrics::IfEnabled();
-      Histogram* fill_hist =
-          metrics == nullptr ? nullptr : metrics->batch_fill;
-      // Buffer window pairs per worker and evaluate them batch-at-a-
-      // time; the morsel flush drains remainders so batches never span
-      // a morsel and the batch decomposition stays thread-invariant.
-      emit = [&, fill_hist, batch](size_t worker, const FT& r, const FT& s) {
-        std::unique_ptr<PairScratch>& ps = pair_scratch[worker];
-        if (ps == nullptr) {
-          ps = std::make_unique<PairScratch>();
-          ps->entries.reserve(batch);
-        }
-        ps->entries.push_back(
-            PairEntry{&r, &s, order[static_cast<size_t>(&r - base)]});
-        if (ps->entries.size() >= batch) {
-          FlushPairBatch(shape, corr_plans, link_lhs, link_rhs, ps.get(),
-                         cpu == nullptr ? nullptr : &worker_cpu[worker],
-                         &tallies[worker], fill_hist, &m);
-        }
-      };
-      morsel_flush = [&, fill_hist](size_t worker) {
-        if (pair_scratch[worker] != nullptr) {
-          FlushPairBatch(shape, corr_plans, link_lhs, link_rhs,
-                         pair_scratch[worker].get(),
-                         cpu == nullptr ? nullptr : &worker_cpu[worker],
-                         &tallies[worker], fill_hist, &m);
-        }
-      };
-    } else {
-      emit = [&](size_t worker, const FT& r, const FT& s) {
-        const size_t idx = order[static_cast<size_t>(&r - base)];
-        CpuStats* slot = cpu == nullptr ? nullptr : &worker_cpu[worker];
-        const double term = pair_term(slot, r, s);
-        if (term > m[idx]) m[idx] = term;
-      };
-    }
+    PairFold fold(shape, ctx, cpu == nullptr ? nullptr : &worker_cpu, &m);
     // Planner estimate for the window: |outer| times the overlap
     // fanout predicted by the key columns' support-corner summaries --
     // the statistics replacement for the paper's "known" C.
@@ -1126,10 +1080,11 @@ Result<std::vector<double>> InFamilyDegrees(const std::vector<FT>& outer,
           static_cast<double>(sorted_outer.size()) *
           EstimateOverlapFanout(outer_stats, inner_stats));
     }
-    MergeWindow(sorted_outer, outer_key, inner, inner_key, ctx,
-                cpu == nullptr ? nullptr : &worker_cpu, cpu, trace, emit,
-                morsel_flush, batch > 0 ? &tallies : nullptr, est_pairs);
-    FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
+    if (!MergeWindow(sorted_outer, outer_key, order, inner, inner_key, ctx,
+                     cpu == nullptr ? nullptr : &worker_cpu, cpu, trace,
+                     &fold, est_pairs)) {
+      return CheckQuery(ctx.query);  // the latched stop: never OK here
+    }
   } else if (shape.correlations.empty() && !shape.has_link_columns) {
     // Uncorrelated EXISTS: a constant -- the possibility that the inner
     // block is non-empty.
@@ -1163,19 +1118,24 @@ Result<std::vector<double>> InFamilyDegrees(const std::vector<FT>& outer,
       m[i] = m_r;
     }
   } else {
-    // Correlated but no usable merge key: unnested full pairing.
+    // Correlated but no usable merge key: unnested full pairing, one
+    // serial scan through the same pair stage as the merge window.
     TraceScope pairing_span(trace, "nested-pairing", cpu, nullptr,
                             "inner=" + std::to_string(inner.size()));
     pairing_span.SetInputRows(outer.size());
     PhaseScope phase(ctx.progress, QueryPhase::kJoin);
+    std::vector<CpuStats> worker_cpu(1);
+    // Declared after the span: an early return still folds first.
+    CpuStatsFolder folder(cpu == nullptr ? nullptr : &worker_cpu, cpu);
+    PairFold fold(shape, ctx, cpu == nullptr ? nullptr : &worker_cpu, &m);
     for (size_t i = 0; i < outer.size(); ++i) {
       FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
-      for (const FT& s : inner) {
-        if (cpu != nullptr) ++cpu->tuple_pairs;
-        const double term = pair_term(cpu, outer[i], s);
-        if (term > m[i]) m[i] = term;
-      }
+      if (cpu != nullptr) cpu->tuple_pairs += inner.size();
+      for (const FT& s : inner) fold.Add(0, outer[i], s, i);
     }
+    fold.Flush(0);
+    folder.Fold();
+    fold.Publish(&pairing_span);
   }
 
   std::vector<double> degrees(outer.size());
@@ -1533,6 +1493,16 @@ Result<Relation> RunChain(const BoundQuery& query, const ParallelContext& ctx,
     double degree;
   };
 
+  // The answer only projects level 0, so flat K-way rows are never
+  // materialized past the last join step: each finished row's degree
+  // folds by max into best[] at its level-0 tuple's position in R0.
+  // Duplicate elimination then sees at most |R0| rows -- the same max
+  // over the same terms, as identical level-0 tuples project
+  // identically.
+  const Tuple* const r0_base =
+      blocks[0]->tables[0].relation->tuples().data();
+  std::vector<double> best(blocks[0]->tables[0].relation->NumTuples(), 0.0);
+
   std::vector<Row> rows;
   size_t joined_lo = order[0], joined_hi = order[0];
   for (const FT& ft : filtered[order[0]]) {
@@ -1580,24 +1550,31 @@ Result<Relation> RunChain(const BoundQuery& query, const ParallelContext& ctx,
       }
     }
 
+    const bool last_step = step + 1 == k_levels;
     std::vector<Row> joined;
-    auto join_pair = [&](const Row& row, const FT& s) -> Status {
+    uint64_t finished = 0;  // flat rows the last step folded into best[]
+    std::vector<const Tuple*> slots;  // the candidate row's level slots
+    auto join_pair = [&](const Row& row, const FT& s) {
       double d = std::min(row.degree, s.degree);
-      if (d <= 0.0) return Status::OK();
+      if (d <= 0.0) return;
       if (cpu != nullptr) ++cpu->degree_evaluations;
       d = std::min(d, row.tuples[row_level]->ValueAt(row_col).Compare(
                           CompareOp::kEq, s.tuple->ValueAt(new_col)));
-      if (d <= 0.0) return Status::OK();
-      Row next = row;
-      next.tuples[level] = s.tuple;
+      if (d <= 0.0) return;
+      slots = row.tuples;
+      slots[level] = s.tuple;
       for (const auto& [pred, b] : newly_applicable) {
         if (d <= 0.0) break;
-        d = std::min(d, ChainPredicateDegree(*pred, b, next.tuples, cpu));
+        d = std::min(d, ChainPredicateDegree(*pred, b, slots, cpu));
       }
-      if (d <= 0.0) return Status::OK();
-      next.degree = d;
-      joined.push_back(std::move(next));
-      return Status::OK();
+      if (d <= 0.0) return;
+      if (last_step) {
+        double& b = best[static_cast<size_t>(slots[0] - r0_base)];
+        b = std::max(b, d);
+        ++finished;
+      } else {
+        joined.push_back(Row{slots, d});
+      }
     };
 
     auto rows_key_fuzzy = [&]() {
@@ -1654,7 +1631,7 @@ Result<Relation> RunChain(const BoundQuery& query, const ParallelContext& ctx,
             row.tuples[row_level]->ValueAt(row_col).AsFuzzy()));
         if (cpu != nullptr) cpu->tuple_pairs += window.hi - window.lo;
         for (size_t i = window.lo; i < window.hi; ++i) {
-          FUZZYDB_RETURN_IF_ERROR(join_pair(row, incoming[i]));
+          join_pair(row, incoming[i]);
         }
       }
     } else {
@@ -1662,25 +1639,25 @@ Result<Relation> RunChain(const BoundQuery& query, const ParallelContext& ctx,
         FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
         for (const FT& s : incoming) {
           if (cpu != nullptr) ++cpu->tuple_pairs;
-          FUZZYDB_RETURN_IF_ERROR(join_pair(row, s));
+          join_pair(row, s);
         }
       }
     }
     rows = std::move(joined);
-    step_span.SetOutputRows(rows.size());
-    if (step_est != TraceNode::kNoCount) RecordQError(step_est, rows.size());
+    const uint64_t step_rows = last_step ? finished : rows.size();
+    step_span.SetOutputRows(step_rows);
+    if (step_est != TraceNode::kNoCount) RecordQError(step_est, step_rows);
     joined_lo = std::min(joined_lo, level);
     joined_hi = std::max(joined_hi, level);
   }
 
   TraceScope emit_span(trace, "emit", cpu, nullptr);
-  emit_span.SetInputRows(rows.size());
   PhaseScope emit_phase(ctx.progress, QueryPhase::kEmit);
   std::vector<RowRef> answer_rows;
-  answer_rows.reserve(rows.size());
-  for (const Row& row : rows) {
-    answer_rows.push_back(RowRef{row.tuples[0], row.degree});
+  for (size_t i = 0; i < best.size(); ++i) {
+    if (best[i] > 0.0) answer_rows.push_back(RowRef{r0_base + i, best[i]});
   }
+  emit_span.SetInputRows(answer_rows.size());
   Relation answer = EmitAnswer(query, std::move(answer_rows));
   emit_span.SetOutputRows(answer.NumTuples());
   if (ctx.progress != nullptr) ctx.progress->AddRows(answer.NumTuples());
@@ -1702,7 +1679,6 @@ ParallelContext UnnestingEvaluator::MakeContext() {
   ctx.query = options_.context;
   ctx.cache = options_.cache;
   ctx.morsel_size = options_.morsel_size == 0 ? 1 : options_.morsel_size;
-  ctx.batch_size = options_.batch_size;
   ctx.progress = options_.progress;
   const size_t threads = options_.ResolvedThreads();
   if (threads > 1) {

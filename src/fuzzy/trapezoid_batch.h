@@ -28,8 +28,8 @@ namespace fuzzydb {
 /// A fixed-capacity SoA batch of trapezoids plus a degree output lane.
 class TrapezoidBatch {
  public:
-  /// Upper bound on lanes per batch; ExecOptions::batch_size is clamped
-  /// to this. 1024 doubles x 5 arrays stays comfortably in L2.
+  /// Lanes per batch in every batched operator. 1024 doubles x 5
+  /// arrays stays comfortably in L2.
   static constexpr size_t kCapacity = 1024;
 
   size_t size() const { return size_; }

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "engine/exec_options.h"
 #include "obs/query_registry.h"
 
 namespace fuzzydb {
@@ -405,11 +404,9 @@ EngineMetrics* EngineMetrics::Instance() {
           std::string("fuzzydb_phase_seconds_total") + "{phase=\"" +
           QueryPhaseName(static_cast<QueryPhase>(i)) + "\"}");
     }
-    const ExecOptions defaults;
-    m->build_info = reg.GetGauge(
-        std::string("fuzzydb_build_info") + "{git_sha=\"" +
-        FUZZYDB_GIT_SHA + "\",compiler=\"" + CompilerLabel() +
-        "\",batch_size=\"" + std::to_string(defaults.batch_size) + "\"}");
+    m->build_info = reg.GetGauge(std::string("fuzzydb_build_info") +
+                                 "{git_sha=\"" + FUZZYDB_GIT_SHA +
+                                 "\",compiler=\"" + CompilerLabel() + "\"}");
     m->build_info->Set(1);
     return m;
   }();

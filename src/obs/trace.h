@@ -58,10 +58,9 @@ struct TraceNode {
   uint64_t est_rows = kNoCount;
   /// Batch execution (docs/architecture.md): batch-kernel invocations
   /// inside the span and the lanes they evaluated. kNoCount when the
-  /// operator ran scalar (batch_size = 0) or had no batchable work.
-  /// Like the counter deltas these are thread-count-invariant, but they
-  /// *do* vary with ExecOptions::batch_size, so they are deliberately
-  /// not part of the determinism signature in parallel_test.cc.
+  /// operator had no batchable work. Like the counter deltas these are
+  /// thread-count-invariant (batches are cut at morsel ends), and the
+  /// determinism signature in parallel_test.cc includes them.
   uint64_t batches = kNoCount;
   uint64_t batch_rows = kNoCount;
   size_t threads = 1;    // worker slots the operator ran with

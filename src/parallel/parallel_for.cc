@@ -11,14 +11,14 @@ size_t WorkerSlots(const ParallelContext& ctx) {
   return ctx.pool == nullptr || ctx.pool->size() == 0 ? 1 : ctx.pool->size();
 }
 
-void ParallelFor(const ParallelContext& ctx, size_t total,
+bool ParallelFor(const ParallelContext& ctx, size_t total,
                  const std::function<void(size_t, size_t, size_t)>& body) {
-  ParallelFor(ctx, total, ctx.morsel_size, body);
+  return ParallelFor(ctx, total, ctx.morsel_size, body);
 }
 
-void ParallelFor(const ParallelContext& ctx, size_t total, size_t morsel_size,
+bool ParallelFor(const ParallelContext& ctx, size_t total, size_t morsel_size,
                  const std::function<void(size_t, size_t, size_t)>& body) {
-  if (total == 0) return;
+  if (total == 0) return true;
   MorselCursor cursor(total, morsel_size);
   if (ctx.pool == nullptr || ctx.pool->size() <= 1 ||
       cursor.NumMorsels() <= 1) {
@@ -30,7 +30,9 @@ void ParallelFor(const ParallelContext& ctx, size_t total, size_t morsel_size,
       body(0, begin, end);
       if (ctx.progress != nullptr) ctx.progress->AddMorsel(end - begin);
     }
-    return;
+    // Workers only leave the loop early on a stop; a morsel still
+    // unclaimed now was skipped.
+    return !cursor.Next(&begin, &end);
   }
 
   const size_t workers = std::min(ctx.pool->size(), cursor.NumMorsels());
@@ -56,6 +58,8 @@ void ParallelFor(const ParallelContext& ctx, size_t total, size_t morsel_size,
     }
   }
   if (first_error != nullptr) std::rethrow_exception(first_error);
+  size_t begin = 0, end = 0;
+  return !cursor.Next(&begin, &end);  // see the serial path
 }
 
 }  // namespace fuzzydb

@@ -45,14 +45,6 @@ struct ParallelContext {
   /// thread-count invariant.
   CacheManager* cache = nullptr;  // not owned
 
-  /// Lanes per batch for the batch-at-a-time degree kernels inside
-  /// morsel bodies (ExecOptions::batch_size, clamped by the operators
-  /// to TrapezoidBatch::kCapacity); 0 = scalar tuple-at-a-time path.
-  /// Batches never span a morsel, so batch decomposition -- like the
-  /// morsel decomposition -- is a pure function of (size, morsel_size,
-  /// batch_size), independent of thread count.
-  size_t batch_size = 1024;
-
   /// Live progress for SHOW QUERIES (see obs/query_registry.h): every
   /// completed morsel bumps its morsel/item counters with one relaxed
   /// add from whichever worker finished it. The counted totals are a
@@ -72,15 +64,21 @@ size_t WorkerSlots(const ParallelContext& ctx);
 /// rethrown here (remaining morsels still complete). Must not be called
 /// from inside a pool worker (the pool does not run nested tasks and the
 /// barrier would deadlock once every worker waits).
-void ParallelFor(const ParallelContext& ctx, size_t total,
-                 const std::function<void(size_t worker, size_t begin,
-                                          size_t end)>& body);
+///
+/// Returns false when a governed stop (ctx.query) kept morsels from
+/// being dispatched: the body then did not see all of [0, total), so
+/// the caller's per-morsel output is partial and must not be used.
+/// A stop that fires after the last morsel was handed out still
+/// returns true -- the work is complete.
+[[nodiscard]] bool ParallelFor(
+    const ParallelContext& ctx, size_t total,
+    const std::function<void(size_t worker, size_t begin, size_t end)>& body);
 
 /// As above with an explicit morsel size overriding ctx.morsel_size
 /// (e.g. one partition or one run-pair per morsel).
-void ParallelFor(const ParallelContext& ctx, size_t total, size_t morsel_size,
-                 const std::function<void(size_t worker, size_t begin,
-                                          size_t end)>& body);
+[[nodiscard]] bool ParallelFor(
+    const ParallelContext& ctx, size_t total, size_t morsel_size,
+    const std::function<void(size_t worker, size_t begin, size_t end)>& body);
 
 /// Sorts *v by the comparator `make_less` builds. `make_less` is called
 /// with a `uint64_t*` the comparator must increment once per invocation;
@@ -114,12 +112,13 @@ template <typename T, typename MakeLess>
     // counter (and the sum is scheduling-independent).
     const size_t num_runs = (n + morsel - 1) / morsel;
     std::vector<uint64_t> run_counts(num_runs, 0);
-    ParallelFor(ctx, n, morsel, [&](size_t, size_t begin, size_t end) {
-      std::sort(v->begin() + static_cast<ptrdiff_t>(begin),
-                v->begin() + static_cast<ptrdiff_t>(end),
-                make_less(&run_counts[begin / morsel]));
-    });
-    if (QueryStopRequested(ctx.query)) return false;
+    if (!ParallelFor(ctx, n, morsel, [&](size_t, size_t begin, size_t end) {
+          std::sort(v->begin() + static_cast<ptrdiff_t>(begin),
+                    v->begin() + static_cast<ptrdiff_t>(end),
+                    make_less(&run_counts[begin / morsel]));
+        })) {
+      return false;
+    }
     for (uint64_t c : run_counts) total += c;
 
     // Pairwise merge rounds over a ping-pong buffer.
@@ -129,8 +128,9 @@ template <typename T, typename MakeLess>
     for (size_t width = morsel; width < n; width *= 2) {
       const size_t num_pairs = (n + 2 * width - 1) / (2 * width);
       std::vector<uint64_t> pair_counts(num_pairs, 0);
-      ParallelFor(ctx, num_pairs, 1, [&](size_t, size_t pair_begin,
-                                         size_t pair_end) {
+      const bool merged = ParallelFor(ctx, num_pairs, 1, [&](size_t,
+                                                             size_t pair_begin,
+                                                             size_t pair_end) {
         for (size_t p = pair_begin; p < pair_end; ++p) {
           const size_t lo = p * 2 * width;
           const size_t mid = std::min(lo + width, n);
@@ -151,7 +151,7 @@ template <typename T, typename MakeLess>
           }
         }
       });
-      if (QueryStopRequested(ctx.query)) return false;
+      if (!merged) return false;
       for (uint64_t c : pair_counts) total += c;
       std::swap(src, dst);
     }

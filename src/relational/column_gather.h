@@ -5,7 +5,7 @@
 // a span of tuples, pulls one column's fuzzy values out and appends
 // their corners to a TrapezoidBatch. Gathers are all-or-nothing: a
 // single non-fuzzy (or null) value makes the whole batch unusable and
-// the caller falls back to the scalar path for those rows, which keeps
+// the caller falls back to the per-lane path for those rows, which keeps
 // the batch kernels free of per-lane type tests.
 #ifndef FUZZYDB_RELATIONAL_COLUMN_GATHER_H_
 #define FUZZYDB_RELATIONAL_COLUMN_GATHER_H_

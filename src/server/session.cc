@@ -112,7 +112,6 @@ Session::Session(uint64_t id, const SessionDefaults& defaults,
 }
 
 void Session::ApplyOptions() {
-  shell_.set_batch_size(options_.batch_size);
   shell_.set_cache_enabled(options_.cache);
   shell_.set_slow_query_ms(options_.slow_query_ms);
   shell_.set_timeout_ms(options_.timeout_ms);
@@ -166,16 +165,12 @@ bool Session::ExecuteSet(const std::string& line, ReplyFrame* frame) {
   };
   if (words.size() != 3) {
     return fail(
-        "usage: SET batch_size|cache|slow_query_ms|timeout_ms|"
+        "usage: SET cache|slow_query_ms|timeout_ms|"
         "memory_budget|threads <value>");
   }
   const std::string key = ToLower(words[1]);
   const std::string& value = words[2];
-  if (key == "batch_size") {
-    uint64_t lanes = 0;
-    if (!ParseCount(value, &lanes)) return fail("bad batch_size: " + value);
-    options_.batch_size = static_cast<size_t>(lanes);
-  } else if (key == "cache") {
+  if (key == "cache") {
     if (EqualsIgnoreCase(value, "on")) {
       options_.cache = true;
     } else if (EqualsIgnoreCase(value, "off")) {

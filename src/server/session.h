@@ -8,7 +8,6 @@
 //
 // Per-session execution options are SET-able over the wire:
 //
-//   SET batch_size N        lanes per batch (0 = scalar path)
 //   SET cache on|off        consult the process-wide cross-query cache
 //   SET slow_query_ms X     slow-query-log threshold (0 = off)
 //   SET timeout_ms X        per-query deadline (0 = none)
@@ -34,7 +33,6 @@ namespace server {
 /// Session-wide defaults inherited from the server configuration; each
 /// session may override its own copies via SET.
 struct SessionDefaults {
-  size_t batch_size = 1024;
   bool cache = true;
   double slow_query_ms = 0.0;
   double timeout_ms = 0.0;

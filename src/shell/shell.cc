@@ -435,7 +435,6 @@ void Shell::ExecuteStatement(const std::string& text, std::ostream& out) {
         ExecOptions options;
         options.trace = &trace;
         options.num_threads = num_threads_;
-        options.batch_size = batch_size_;
         options.slow_query_ms = slow_query_ms_;
         options.query_text = text;
         options.context = &qctx;
@@ -496,7 +495,6 @@ void Shell::ExecuteStatement(const std::string& text, std::ostream& out) {
       } else {
         ExecOptions options;
         options.num_threads = num_threads_;
-        options.batch_size = batch_size_;
         options.slow_query_ms = slow_query_ms_;
         options.query_text = text;
         options.context = &qctx;

@@ -115,12 +115,6 @@ class Shell {
   void set_memory_budget(uint64_t bytes) { memory_budget_ = bytes; }
   uint64_t memory_budget() const { return memory_budget_; }
 
-  /// Lanes per batch for the batch-at-a-time degree kernels
-  /// (ExecOptions::batch_size): 0 forces the scalar tuple-at-a-time
-  /// path, values above the SoA capacity (1024) are clamped. Answers
-  /// and counters are identical for every setting.
-  void set_batch_size(size_t lanes) { batch_size_ = lanes; }
-
   /// Worker threads for the parallel operators (ExecOptions::
   /// num_threads): 0 (the default) resolves to hardware_concurrency().
   /// Answers are bit-identical at every setting; server sessions SET
@@ -223,7 +217,6 @@ class Shell {
   double slow_query_ms_ = 0.0;
   double timeout_ms_ = 0.0;
   uint64_t memory_budget_ = 0;
-  size_t batch_size_ = 1024;
   size_t num_threads_ = 0;
   bool cache_enabled_ = true;
   bool explain_json_ = false;

@@ -46,16 +46,14 @@ Catalog MakeCatalog(uint64_t seed) {
 }
 
 /// Runs `query` through the unnesting evaluator with the given cache
-/// (null = cache off), thread count, and batch size (0 = scalar path).
+/// (null = cache off) and thread count.
 Result<Relation> RunQuery(const std::string& query, const Catalog& catalog,
                      CacheManager* cache, size_t threads = 1,
-                     QueryContext* context = nullptr,
-                     size_t batch_size = 1024) {
+                     QueryContext* context = nullptr) {
   auto bound = sql::ParseAndBind(query, catalog);
   if (!bound.ok()) return bound.status();
   ExecOptions options;
   options.num_threads = threads;
-  options.batch_size = batch_size;
   options.cache = cache;
   options.context = context;
   UnnestingEvaluator engine(options);
@@ -134,35 +132,28 @@ TEST(CacheDeterminismTest, WarmRunsMatchCacheOffAtEveryThreadCount) {
   CacheStats reference;
   bool have_reference = false;
   for (size_t threads : {1u, 2u, 4u, 8u}) {
-    // The batch-kernel knob joins the matrix: cached filter replays,
-    // cold batched scans, and the scalar path must agree exactly.
-    for (size_t batch_size : {0u, 1u, 7u, 1024u}) {
-      const std::string label = "threads=" + std::to_string(threads) +
-                                " batch=" + std::to_string(batch_size);
-      CacheManager cache;
-      cache.set_capacity_bytes(32 << 20);
-      ASSERT_OK_AND_ASSIGN(Relation cold,
-                           RunQuery(kTypeJQuery, catalog, &cache, threads,
-                                    nullptr, batch_size));
-      ASSERT_OK_AND_ASSIGN(Relation warm,
-                           RunQuery(kTypeJQuery, catalog, &cache, threads,
-                                    nullptr, batch_size));
-      EXPECT_TRUE(expected.EquivalentTo(cold, 1e-12)) << label;
-      EXPECT_TRUE(expected.EquivalentTo(warm, 1e-12)) << label;
-      const CacheStats stats = cache.stats();
-      EXPECT_GT(stats.hits, 0u) << label;
-      EXPECT_GT(stats.inserts, 0u) << label;
-      if (!have_reference) {
-        reference = stats;
-        have_reference = true;
-      } else {
-        // Cache behavior is part of the determinism contract: the hit,
-        // miss, and insert sequence must not depend on the thread count
-        // or on the batch size.
-        EXPECT_EQ(stats.hits, reference.hits) << label;
-        EXPECT_EQ(stats.misses, reference.misses) << label;
-        EXPECT_EQ(stats.inserts, reference.inserts) << label;
-      }
+    // Cached filter replays and cold batched scans must agree exactly.
+    const std::string label = "threads=" + std::to_string(threads);
+    CacheManager cache;
+    cache.set_capacity_bytes(32 << 20);
+    ASSERT_OK_AND_ASSIGN(Relation cold,
+                         RunQuery(kTypeJQuery, catalog, &cache, threads));
+    ASSERT_OK_AND_ASSIGN(Relation warm,
+                         RunQuery(kTypeJQuery, catalog, &cache, threads));
+    EXPECT_TRUE(expected.EquivalentTo(cold, 1e-12)) << label;
+    EXPECT_TRUE(expected.EquivalentTo(warm, 1e-12)) << label;
+    const CacheStats stats = cache.stats();
+    EXPECT_GT(stats.hits, 0u) << label;
+    EXPECT_GT(stats.inserts, 0u) << label;
+    if (!have_reference) {
+      reference = stats;
+      have_reference = true;
+    } else {
+      // Cache behavior is part of the determinism contract: the hit,
+      // miss, and insert sequence must not depend on the thread count.
+      EXPECT_EQ(stats.hits, reference.hits) << label;
+      EXPECT_EQ(stats.misses, reference.misses) << label;
+      EXPECT_EQ(stats.inserts, reference.inserts) << label;
     }
   }
 }

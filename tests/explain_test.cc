@@ -187,8 +187,8 @@ TEST(ExplainAnalyzeTest, BatchAnnotationsGolden) {
   // A local predicate makes the filter batch-eligible and the IN link
   // drives the merge window's batched emit path, so both spans carry
   // the "batches=N rows/batch=M" annotation. The batch counts are
-  // thread-count-invariant (batches never span a morsel); the shell
-  // runs the default batch_size, so this golden is exact.
+  // thread-count-invariant (batches never span a morsel), so this
+  // golden is exact.
   const std::string out = RunShell(
       std::string(kBatchExplainSetup) +
       "EXPLAIN ANALYZE SELECT R.C0 FROM R WHERE R.C0 >= 1 AND "

@@ -647,6 +647,22 @@ TEST_F(IntrospectionTest, PhaseMetricsFoldOnUnregister) {
       sort_before);
 }
 
+// Both interval sorts of a type J query -- the outer index view and the
+// inner block -- are charged to the sort phase, not to plan.
+TEST_F(IntrospectionTest, TypeJChargesBothIntervalSortsToTheSortPhase) {
+  Catalog catalog = MakeJoinCatalog();
+  ASSERT_OK_AND_ASSIGN(auto bound, sql::ParseAndBind(kJoinQuery, catalog));
+  QueryProgress progress;
+  ExecOptions options;
+  options.num_threads = 1;
+  options.progress = &progress;
+  UnnestingEvaluator engine(options);
+  ASSERT_OK(engine.Evaluate(*bound).status());
+  EXPECT_EQ(engine.last_type(), QueryType::kTypeJ);
+  EXPECT_EQ(progress.PhaseEnters(QueryPhase::kSort), 2u);
+  EXPECT_EQ(progress.PhaseEnters(QueryPhase::kWindow), 1u);
+}
+
 TEST_F(IntrospectionTest, PrometheusTextDeduplicatesLabeledTypeLines) {
   // Force the labeled families into existence.
   (void)EngineMetrics::Instance();
@@ -689,7 +705,7 @@ TEST_F(IntrospectionTest, BuildInfoGaugeSurvivesMetricsReset) {
       show.str().substr(at, show.str().find('\n', at) - at);
   // Still stamped to 1 after the reset drained every other metric.
   EXPECT_EQ(line.substr(line.size() - 2), " 1") << line;
-  for (const char* label : {"git_sha=", "compiler=", "batch_size="}) {
+  for (const char* label : {"git_sha=", "compiler="}) {
     EXPECT_NE(line.find(label), std::string::npos) << line;
   }
 }

@@ -22,6 +22,7 @@
 #include "engine/partitioned_join.h"
 #include "engine/unnested_evaluator.h"
 #include "fuzzy/interval_order.h"
+#include "fuzzy/trapezoid_batch.h"
 #include "obs/trace.h"
 #include "parallel/morsel.h"
 #include "parallel/thread_pool.h"
@@ -156,10 +157,11 @@ TEST_P(ParallelForTest, VisitsEveryIndexExactlyOnce) {
 
   const size_t total = 5000;
   std::vector<std::atomic<int>> hits(total);
-  ParallelFor(ctx, total, [&](size_t worker, size_t begin, size_t end) {
-    EXPECT_LT(worker, WorkerSlots(ctx));
-    for (size_t i = begin; i < end; ++i) ++hits[i];
-  });
+  EXPECT_TRUE(
+      ParallelFor(ctx, total, [&](size_t worker, size_t begin, size_t end) {
+        EXPECT_LT(worker, WorkerSlots(ctx));
+        for (size_t i = begin; i < end; ++i) ++hits[i];
+      }));
   for (size_t i = 0; i < total; ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
@@ -170,7 +172,7 @@ TEST_P(ParallelForTest, PropagatesTheBodyException) {
   ThreadPool pool(threads);
   ParallelContext ctx{threads > 1 ? &pool : nullptr, /*morsel_size=*/8};
   EXPECT_THROW(
-      ParallelFor(ctx, 100,
+      (void)ParallelFor(ctx, 100,
                   [&](size_t, size_t begin, size_t) {
                     if (begin == 48) throw std::runtime_error("morsel 6");
                   }),
@@ -183,7 +185,46 @@ INSTANTIATE_TEST_SUITE_P(Threads, ParallelForTest,
 TEST(ParallelForTest, EmptyRangeNeverCallsTheBody) {
   ThreadPool pool(2);
   ParallelContext ctx{&pool, 16};
-  ParallelFor(ctx, 0, [&](size_t, size_t, size_t) { FAIL(); });
+  EXPECT_TRUE(ParallelFor(ctx, 0, [&](size_t, size_t, size_t) { FAIL(); }));
+}
+
+// ParallelFor reports whether every morsel ran: false when a stop kept
+// morsels from being handed out, true when it landed after the last
+// one was (the work is then complete).
+TEST(ParallelForTest, ReportsWhetherAStopSkippedMorsels) {
+  constexpr size_t kTotal = 100;
+  constexpr size_t kMorsel = 8;  // morsels 0..12; 12 is the last
+  for (const size_t threads : {1u, 4u}) {
+    ThreadPool pool(threads);
+    for (const size_t cancel_morsel : {size_t{3}, size_t{12}}) {
+      const std::string label = std::to_string(threads) +
+                                " threads, cancel in morsel " +
+                                std::to_string(cancel_morsel);
+      QueryContext query;
+      ParallelContext ctx{threads > 1 ? &pool : nullptr, kMorsel};
+      ctx.query = &query;
+      std::atomic<size_t> visited{0};
+      const bool complete =
+          ParallelFor(ctx, kTotal, [&](size_t, size_t begin, size_t end) {
+            visited += end - begin;
+            if (begin / kMorsel == cancel_morsel) query.Cancel();
+          });
+      // Which morsels other workers claimed before the stop depends on
+      // scheduling; the report must match what actually ran.
+      EXPECT_EQ(complete, visited.load() == kTotal) << label;
+      if (threads == 1) {
+        EXPECT_EQ(complete, cancel_morsel == 12) << label;
+      }
+    }
+    QueryContext cancelled;
+    cancelled.Cancel();
+    ParallelContext ctx{threads > 1 ? &pool : nullptr, kMorsel};
+    ctx.query = &cancelled;
+    EXPECT_FALSE(ParallelFor(ctx, kTotal, [&](size_t, size_t, size_t) {
+      ADD_FAILURE() << "a morsel ran after the stop";
+    }));
+    EXPECT_TRUE(ParallelFor(ctx, 0, [&](size_t, size_t, size_t) {}));
+  }
 }
 
 // make_less factory for ParallelSort over ints.
@@ -286,9 +327,10 @@ struct DeterminismCase {
 };
 
 // Everything about a trace that must be thread-count-invariant: tree
-// shape, operator names/details, cardinalities, and every counter
-// delta. Wall times and the threads= annotation are the only fields
-// allowed to differ, so they are the only fields left out.
+// shape, operator names/details, cardinalities, every counter delta,
+// and the batch annotations (batches are cut at morsel ends). Wall
+// times and the threads= annotation are the only fields allowed to
+// differ, so they are the only fields left out.
 void AppendTraceSignature(const ExecTrace& trace, size_t id, int depth,
                           std::string* out) {
   const TraceNode& node = trace.nodes()[id];
@@ -307,6 +349,10 @@ void AppendTraceSignature(const ExecTrace& trace, size_t id, int depth,
   *out += " subq=" + std::to_string(node.cpu.subquery_evaluations);
   *out += " reads=" + std::to_string(node.io.page_reads);
   *out += " writes=" + std::to_string(node.io.page_writes);
+  if (node.batches != TraceNode::kNoCount) {
+    *out += " batches=" + std::to_string(node.batches) +
+            " batch_rows=" + std::to_string(node.batch_rows);
+  }
   if (node.clamped) *out += " CLAMPED";
   *out += "\n";
   for (size_t child : node.children) {
@@ -358,19 +404,33 @@ const DeterminismCase kDeterminismCases[] = {
      "SELECT R.C0 FROM R WHERE R.C1 IN "
      "(SELECT S.C0 FROM S WHERE S.C1 = R.C2 AND S.C0 IN "
      "(SELECT T3.C0 FROM T3 WHERE T3.C1 = S.C1))"},
+    // Correlated, but with no equality correlation to window on and an
+    // ALL link (f(0) = 1): the nested-pairing plan.
+    {"NestedPairing",
+     "SELECT R.C0 FROM R WHERE R.C1 <= ALL "
+     "(SELECT S.C0 FROM S WHERE S.C1 < R.C2)"},
 };
+
+// Relations large enough that every operator spans many 16-tuple
+// morsels (filter, sort runs, merge windows).
+constexpr size_t kDeterminismRows = 300;  // |R| = |S|
+constexpr size_t kDeterminismMorsel = 16;
+
+Catalog MakeDeterminismCatalog() {
+  Catalog catalog;
+  EXPECT_OK(catalog.AddRelation(
+      GenerateRandomRelation(101, "R", 3, kDeterminismRows)));
+  EXPECT_OK(catalog.AddRelation(
+      GenerateRandomRelation(202, "S", 2, kDeterminismRows)));
+  EXPECT_OK(catalog.AddRelation(GenerateRandomRelation(303, "T3", 2, 120)));
+  return catalog;
+}
 
 class DeterminismTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(DeterminismTest, IdenticalAnswerAndStatsForEveryThreadCount) {
   const DeterminismCase& test_case = kDeterminismCases[GetParam()];
-
-  // Relations large enough that every operator spans many 16-tuple
-  // morsels (filter, sort runs, merge windows).
-  Catalog catalog;
-  ASSERT_OK(catalog.AddRelation(GenerateRandomRelation(101, "R", 3, 300)));
-  ASSERT_OK(catalog.AddRelation(GenerateRandomRelation(202, "S", 2, 300)));
-  ASSERT_OK(catalog.AddRelation(GenerateRandomRelation(303, "T3", 2, 120)));
+  const Catalog catalog = MakeDeterminismCatalog();
   ASSERT_OK_AND_ASSIGN(auto bound,
                        sql::ParseAndBind(test_case.query, catalog));
 
@@ -379,13 +439,11 @@ TEST_P(DeterminismTest, IdenticalAnswerAndStatsForEveryThreadCount) {
   NaiveEvaluator naive;
   ASSERT_OK_AND_ASSIGN(Relation oracle, naive.Evaluate(*bound));
 
-  // The reference is the pure scalar serial run: one thread, batch
-  // kernels off. Every (threads, batch_size) combination must
-  // reproduce it exactly -- tuples, degrees, counters, and trace.
+  // The reference is the serial run. Every thread count must reproduce
+  // it exactly -- tuples, degrees, counters, and trace.
   ExecOptions options;
-  options.morsel_size = 16;
+  options.morsel_size = kDeterminismMorsel;
   options.num_threads = 1;
-  options.batch_size = 0;
   ExecTrace reference_trace;
   options.trace = &reference_trace;
   CpuStats reference_cpu;
@@ -396,40 +454,30 @@ TEST_P(DeterminismTest, IdenticalAnswerAndStatsForEveryThreadCount) {
   const std::string reference_signature = TraceSignature(reference_trace);
   ASSERT_FALSE(reference_signature.empty());
 
-  for (size_t threads : {1u, 2u, 4u, 8u}) {
-    // Batch sizes chosen to exercise the scalar A/B switch (0), the
-    // degenerate one-lane batch (1), a ragged morsel-interior size (7),
-    // and the full SoA capacity (1024).
-    for (size_t batch_size : {0u, 1u, 7u, 1024u}) {
-      if (threads == 1 && batch_size == 0) continue;  // the reference
-      options.num_threads = threads;
-      options.batch_size = batch_size;
-      ExecTrace trace;
-      options.trace = &trace;
-      CpuStats cpu;
-      UnnestingEvaluator parallel(options, &cpu);
-      ASSERT_OK_AND_ASSIGN(Relation actual, parallel.Evaluate(*bound));
-      const std::string label = test_case.name + std::string(" with ") +
-                                std::to_string(threads) + " threads, batch " +
-                                std::to_string(batch_size);
-      // Tuples and degrees: exact, not approximate -- the parallel and
-      // batch plans perform the same arithmetic on the same operands.
-      EXPECT_TRUE(expected.EquivalentTo(actual, 0.0))
-          << label << "\nserial:\n"
-          << expected.ToString(20) << "\nparallel:\n" << actual.ToString(20);
-      // Work counters: identical, field by field.
-      EXPECT_EQ(cpu.tuple_pairs, reference_cpu.tuple_pairs) << label;
-      EXPECT_EQ(cpu.degree_evaluations, reference_cpu.degree_evaluations)
-          << label;
-      EXPECT_EQ(cpu.comparisons, reference_cpu.comparisons) << label;
-      EXPECT_EQ(cpu.subquery_evaluations,
-                reference_cpu.subquery_evaluations)
-          << label;
-      // The execution trace -- operator tree, cardinalities, and every
-      // per-span counter delta -- is invariant across the whole matrix
-      // (batch annotations live outside the signature by design).
-      EXPECT_EQ(TraceSignature(trace), reference_signature) << label;
-    }
+  for (size_t threads : {2u, 4u, 8u}) {
+    options.num_threads = threads;
+    ExecTrace trace;
+    options.trace = &trace;
+    CpuStats cpu;
+    UnnestingEvaluator parallel(options, &cpu);
+    ASSERT_OK_AND_ASSIGN(Relation actual, parallel.Evaluate(*bound));
+    const std::string label = test_case.name + std::string(" with ") +
+                              std::to_string(threads) + " threads";
+    // Tuples and degrees: exact, not approximate -- the parallel plans
+    // perform the same arithmetic on the same operands.
+    EXPECT_TRUE(expected.EquivalentTo(actual, 0.0))
+        << label << "\nserial:\n"
+        << expected.ToString(20) << "\nparallel:\n" << actual.ToString(20);
+    // Work counters: identical, field by field.
+    EXPECT_EQ(cpu.tuple_pairs, reference_cpu.tuple_pairs) << label;
+    EXPECT_EQ(cpu.degree_evaluations, reference_cpu.degree_evaluations)
+        << label;
+    EXPECT_EQ(cpu.comparisons, reference_cpu.comparisons) << label;
+    EXPECT_EQ(cpu.subquery_evaluations, reference_cpu.subquery_evaluations)
+        << label;
+    // The execution trace -- operator tree, cardinalities, every
+    // per-span counter delta and batch annotation -- is invariant.
+    EXPECT_EQ(TraceSignature(trace), reference_signature) << label;
   }
 }
 
@@ -442,6 +490,88 @@ INSTANTIATE_TEST_SUITE_P(AllTypes, DeterminismTest,
                          ::testing::Range<size_t>(
                              0, std::size(kDeterminismCases)),
                          DeterminismCaseName);
+
+/// Runs one determinism case serially with the determinism options and
+/// returns its trace.
+ExecTrace TraceDeterminismCase(const DeterminismCase& test_case,
+                               const Catalog& catalog) {
+  ExecTrace trace;
+  auto bound = sql::ParseAndBind(test_case.query, catalog);
+  EXPECT_TRUE(bound.ok()) << test_case.name;
+  if (!bound.ok()) return trace;
+  ExecOptions options;
+  options.morsel_size = kDeterminismMorsel;
+  options.num_threads = 1;
+  options.trace = &trace;
+  CpuStats cpu;  // spans record counter deltas only when counting
+  UnnestingEvaluator engine(options, &cpu);
+  EXPECT_TRUE(engine.Evaluate(**bound).ok()) << test_case.name;
+  return trace;
+}
+
+// The pair stage evaluates a batch whenever kCapacity pairs are pending
+// and drains the rest at the morsel end. For the mid-morsel evaluation
+// to be covered, some determinism case must put more than kCapacity
+// pairs into one merge-window morsel. Derived from the span's counts:
+// when the windowed pairs exceed kCapacity times the number of morsels,
+// some morsel holds more than kCapacity of them.
+TEST(DeterminismCoverageTest, SomeMergeWindowMorselExceedsOneBatch) {
+  const Catalog catalog = MakeDeterminismCatalog();
+  std::string covered_by;
+  std::string seen;
+  for (const DeterminismCase& test_case : kDeterminismCases) {
+    const ExecTrace trace = TraceDeterminismCase(test_case, catalog);
+    for (const TraceNode& node : trace.nodes()) {
+      if (node.name != "merge-window") continue;
+      const uint64_t morsels =
+          (node.input_rows + kDeterminismMorsel - 1) / kDeterminismMorsel;
+      seen += std::string(" ") + test_case.name + ":" +
+              std::to_string(node.output_rows) + "/" +
+              std::to_string(morsels);
+      if (node.output_rows > TrapezoidBatch::kCapacity * morsels) {
+        covered_by = test_case.name;
+      }
+    }
+  }
+  EXPECT_FALSE(covered_by.empty()) << "pairs/morsels:" << seen;
+}
+
+// The nested-pairing plan (no equality correlation, ALL link) runs
+// through the same batched pair stage: its span carries batches.
+TEST(DeterminismCoverageTest, NestedPairingRunsThroughThePairStage) {
+  const Catalog catalog = MakeDeterminismCatalog();
+  bool found = false;
+  for (const DeterminismCase& test_case : kDeterminismCases) {
+    if (std::string(test_case.name) != "NestedPairing") continue;
+    const ExecTrace trace = TraceDeterminismCase(test_case, catalog);
+    for (const TraceNode& node : trace.nodes()) {
+      if (node.name != "nested-pairing") continue;
+      found = true;
+      EXPECT_GT(node.cpu.tuple_pairs, 0u);
+      ASSERT_NE(node.batches, TraceNode::kNoCount);
+      EXPECT_GT(node.batches, 0u);
+    }
+  }
+  EXPECT_TRUE(found);
+}
+
+// The chain's answer projects level 0 only, so its emit must see at
+// most one row per R tuple rather than every flat K-way row (millions
+// here).
+TEST(ChainEmitTest, EmitSeesAtMostOneRowPerOuterTuple) {
+  const Catalog catalog = MakeDeterminismCatalog();
+  for (const DeterminismCase& test_case : kDeterminismCases) {
+    if (std::string(test_case.name) != "Chain3") continue;
+    const ExecTrace trace = TraceDeterminismCase(test_case, catalog);
+    size_t emits = 0;
+    for (const TraceNode& node : trace.nodes()) {
+      if (node.name != "emit") continue;
+      ++emits;
+      EXPECT_LE(node.input_rows, kDeterminismRows);
+    }
+    EXPECT_EQ(emits, 1u);
+  }
+}
 
 // ---------------------------------------------------------------------
 // File operators: partitioned join and external sort

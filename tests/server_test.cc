@@ -202,20 +202,18 @@ TEST(SessionTest, ExecutesStatementsAndCapturesAnswers) {
 
 TEST(SessionTest, SetOptionsValidatedAndApplied) {
   Session session(1, SessionDefaults{}, /*fair_share_budget=*/0);
-  ReplyFrame frame = session.Execute("SET batch_size 256;");
+  ReplyFrame frame = session.Execute("SET threads 2;");
   EXPECT_EQ(frame.status, "OK");
-  EXPECT_EQ(frame.text, "-- set batch_size=256\n");
+  EXPECT_EQ(frame.text, "-- set threads=2\n");
   EXPECT_EQ(session.Execute("SET cache off").status, "OK");
-  EXPECT_EQ(session.Execute("SET threads 2").status, "OK");
   EXPECT_EQ(session.Execute("SET slow_query_ms 5.5").status, "OK");
   EXPECT_EQ(session.Execute("SET memory_budget 64m").status, "OK");
 
-  EXPECT_EQ(session.Execute("SET batch_size banana").status,
-            "INVALID_ARGUMENT");
   EXPECT_EQ(session.Execute("SET cache maybe").status, "INVALID_ARGUMENT");
   EXPECT_EQ(session.Execute("SET nonsense 1").status, "INVALID_ARGUMENT");
-  EXPECT_EQ(session.Execute("SET batch_size").status, "INVALID_ARGUMENT");
-  EXPECT_EQ(session.errors(), 4u);
+  // The batch-lane option is gone: it is an unknown option now.
+  EXPECT_EQ(session.Execute("SET batch_size 256").status, "INVALID_ARGUMENT");
+  EXPECT_EQ(session.errors(), 3u);
 }
 
 TEST(SessionTest, ErrorsCarryMachineReadableStatus) {

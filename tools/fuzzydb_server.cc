@@ -9,7 +9,6 @@
 //                                        split fair-share across workers
 //   fuzzydb_server --timeout-ms=N        default per-query deadline
 //   fuzzydb_server --slow-query-ms=N     default slow-query threshold
-//   fuzzydb_server --batch-size=N        default batch lanes per session
 //   fuzzydb_server --threads=N           default engine threads/session
 //   fuzzydb_server --no-cache            sessions start with cache off
 //   fuzzydb_server --cache-mb=N          cross-query cache capacity
@@ -94,7 +93,7 @@ int Usage() {
          "[--queue-depth=N]\n"
          "    [--memory-budget=N[k|m|g]] [--timeout-ms=N] "
          "[--slow-query-ms=N]\n"
-         "    [--batch-size=N] [--threads=N] [--no-cache] [--cache-mb=N]\n"
+         "    [--threads=N] [--no-cache] [--cache-mb=N]\n"
          "    [--query-log=PATH] [--query-log-sample=N] "
          "[--query-log-keep=N]\n"
          "    [--metrics-json=PATH] [--wal-dir=DIR]\n"
@@ -142,9 +141,6 @@ int main(int argc, char** argv) {
         return Usage();
       }
       config.session_defaults.slow_query_ms = ms;
-    } else if (arg.rfind("--batch-size=", 0) == 0) {
-      if (!ParseUint(value_of("--batch-size="), &number)) return Usage();
-      config.session_defaults.batch_size = static_cast<size_t>(number);
     } else if (arg.rfind("--threads=", 0) == 0) {
       if (!ParseUint(value_of("--threads="), &number)) return Usage();
       config.session_defaults.threads = static_cast<size_t>(number);

@@ -121,7 +121,6 @@ int main(int argc, char** argv) {
     const std::string kTimeoutFlag = "--timeout-ms=";
     const std::string kBudgetFlag = "--memory-budget=";
     const std::string kCacheFlag = "--cache-mb=";
-    const std::string kBatchFlag = "--batch-size=";
     const std::string kQueryLogFlag = "--query-log=";
     const std::string kQueryLogSampleFlag = "--query-log-sample=";
     const std::string kQueryLogKeepFlag = "--query-log-keep=";
@@ -170,18 +169,6 @@ int main(int argc, char** argv) {
       }
       fuzzydb::CacheManager::Global().set_capacity_bytes(
           static_cast<uint64_t>(mb) << 20);
-    } else if (arg.rfind(kBatchFlag, 0) == 0) {
-      char* end = nullptr;
-      errno = 0;
-      const unsigned long long lanes =
-          std::strtoull(arg.c_str() + kBatchFlag.size(), &end, 10);
-      if (errno != 0 || end == arg.c_str() + kBatchFlag.size() ||
-          *end != '\0') {
-        std::cerr << "bad --batch-size value (want a lane count, 0 = scalar): "
-                  << arg << "\n";
-        return 2;
-      }
-      shell.set_batch_size(static_cast<size_t>(lanes));
     } else if (arg.rfind(kQueryLogFlag, 0) == 0) {
       const fuzzydb::Status status = fuzzydb::QueryJournal::Global().SetPath(
           arg.substr(kQueryLogFlag.size()));
@@ -231,7 +218,7 @@ int main(int argc, char** argv) {
                    "    [--trace-json=PATH] [--metrics-json=PATH|-]\n"
                    "    [--metrics-prom=PATH|-] [--slow-query-ms=N]\n"
                    "    [--timeout-ms=N] [--memory-budget=N[k|m|g]]\n"
-                   "    [--cache-mb=N] [--batch-size=N]\n"
+                   "    [--cache-mb=N]\n"
                    "    [--query-log=PATH] [--query-log-sample=N]\n"
                    "    [--query-log-keep=N] [--explain-json]\n"
                    "    [--wal-dir=DIR] [--wal-fsync=always|batch|off]\n";
